@@ -4,15 +4,98 @@ The corpus and per-observation joint counts are maps from a pair of
 multi-indices (one tuple of target coordinates, one tuple of feature
 coordinates) to a positive weight.  Zeros are never stored, so every
 operation runs in time proportional to the number of nonzeros.
+
+The n nonzeros are coalesced arrays: an int64 key matrix of shape
+(n, target_dims + feature_dims), whose column blocks are ``targets`` and
+``features``, and float64 ``weights`` of shape (n,).  Rows are in first-
+insertion order and each weight is the left-to-right sum, in arrival order,
+of everything added to its cell: bitwise what a dict keyed by
+``(target, feature)`` holds, in its iteration order.  The arrays are
+read-only and replaced on every change; single :meth:`SparseCounts.add`
+calls are buffered and folded in on the next read.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+import math
+import operator
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from .errors import ShapeError
 
 Index = Tuple[int, ...]
 Key = Tuple[Index, Index]
+
+
+def sort_groups(keys: np.ndarray):
+    """Stable lexicographic row order, and a mask marking where each run of equal rows starts.
+
+    Nonnegative keys whose ranges fit are sorted as one mixed-radix int64
+    code per row, which is faster than a multi-key ``np.lexsort``.
+    """
+    n, width = keys.shape
+    codes = keys[:, 0] if width == 1 else None
+    if n and width > 1:
+        spans = [m + 1 for m in keys.max(axis=0).tolist()]
+        if math.prod(spans) < 2**63 and keys.min() >= 0:
+            codes = keys @ np.array([math.prod(spans[d + 1 :]) for d in range(width)])
+    if codes is not None:
+        order = np.argsort(codes, kind="stable")
+        ordered = codes[order]
+        differs = ordered[1:] != ordered[:-1]
+    else:
+        order = np.lexsort(keys.T[::-1]) if width else np.arange(n)
+        ordered = keys[order]
+        differs = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = differs
+    return order, starts
+
+
+def rank_rows(keys: np.ndarray):
+    """Distinct rows in lexicographic order, and each input row's rank among them."""
+    order, starts = sort_groups(keys)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return keys[order[starts]], inverse
+
+
+def _coalesce(keys: np.ndarray, weights: np.ndarray):
+    """Sum the weights of equal key rows; cells come out in first-insertion order.
+
+    ``np.add.at`` adds in row order, so every total is the left-to-right sum
+    a dict accumulator would produce, bitwise.
+    """
+    order, starts = sort_groups(keys)
+    if starts.all():
+        return keys, weights
+    group = np.empty(len(keys), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    totals = np.zeros(np.count_nonzero(starts))
+    np.add.at(totals, group, weights)
+    first = order[starts]  # the stable sort puts each group's earliest row first
+    by_arrival = np.argsort(first)
+    return keys[first[by_arrival]], totals[by_arrival]
+
+
+def row_tuples(rows: np.ndarray) -> list:
+    """The rows of an integer matrix as tuples of Python ints."""
+    return list(zip(*rows.T.tolist())) if rows.shape[1] else [()] * len(rows)
+
+
+def _index_matrix(rows, width: int) -> np.ndarray:
+    """Integer index rows as an int64 matrix of shape (n, width), not copied if already one."""
+    try:
+        arr = np.asarray(rows) if len(rows) else np.empty((0, width), dtype=np.int64)
+    except ValueError as exc:
+        raise ShapeError(f"index rows of unequal length: {exc}") from exc
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ShapeError(f"index rows of shape {arr.shape} do not have width {width}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TypeError("indices must be integers")
+    return arr.astype(np.int64, copy=False)
 
 
 class SparseCounts:
@@ -24,7 +107,7 @@ class SparseCounts:
     prediction time.
     """
 
-    __slots__ = ("target_dims", "feature_dims", "entries")
+    __slots__ = ("target_dims", "feature_dims", "_keys", "_weights", "_pending")
 
     def __init__(
         self,
@@ -36,11 +119,75 @@ class SparseCounts:
             raise ShapeError("dimension counts must be nonnegative")
         self.target_dims = int(target_dims)
         self.feature_dims = int(feature_dims)
-        self.entries: Dict[Key, float] = {}
+        self._set(np.empty((0, self.target_dims + self.feature_dims), dtype=np.int64), np.empty(0))
+        self._pending: list = []
         if entries is not None:
             items = entries.items() if isinstance(entries, Mapping) else entries
             for (tgt, feat), weight in items:
                 self.add(tgt, feat, weight)
+
+    @classmethod
+    def from_cells(cls, target_dims: int, feature_dims: int, cells) -> "SparseCounts":
+        """Sum ``[target, feature, weight]`` cells with list coordinates.
+
+        Distinct cells sorted by key with positive finite weights, as
+        :meth:`Model.save` writes them, need no summing.  No per-cell
+        container outlives a step, which keeps large loads free of garbage
+        collections.
+        """
+        width = target_dims + feature_dims
+        flat = [
+            i for t, f, _ in cells if len(t) == target_dims and len(f) == feature_dims for i in t + f
+        ]
+        if len(flat) != len(cells) * width:
+            raise ShapeError("cell coordinates do not match the tensor shape")
+        keys = np.array(flat) if flat else np.empty(0, dtype=np.int64)
+        if keys.ndim != 1 or keys.dtype.kind != "i":
+            raise TypeError("cell coordinates must be integers")
+        keys = keys.reshape(len(cells), width)
+        weights = [w for _, _, w in cells]
+        if all(0 < w < math.inf for w in weights) and all(
+            a[0] < b[0] or a[0] == b[0] and a[1] < b[1] for a, b in zip(cells, cells[1:])
+        ):
+            return cls._of(target_dims, feature_dims, keys, np.array(weights, dtype=np.float64))
+        return cls(target_dims, feature_dims).add_rows(keys, weights)
+
+    @classmethod
+    def _of(cls, target_dims: int, feature_dims: int, keys, weights) -> "SparseCounts":
+        out = cls.__new__(cls)  # wraps arrays that are already coalesced
+        out.target_dims, out.feature_dims, out._pending = int(target_dims), int(feature_dims), []
+        out._set(keys, weights)
+        return out
+
+    def _set(self, keys: np.ndarray, weights: np.ndarray) -> None:
+        keys.flags.writeable = False
+        weights.flags.writeable = False
+        self._keys, self._weights = keys, weights
+
+    def _arrays(self):
+        """The coalesced (keys, weights), folding in any pending single adds."""
+        if self._pending:
+            pending, self._pending = self._pending, []
+            self.add_rows([key for key, _ in pending], [w for _, w in pending])
+        return self._keys, self._weights
+
+    @property
+    def targets(self) -> np.ndarray:
+        return self._arrays()[0][:, : self.target_dims]
+
+    @property
+    def features(self) -> np.ndarray:
+        return self._arrays()[0][:, self.target_dims :]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._arrays()[1]
+
+    @property
+    def entries(self) -> Mapping[Key, float]:
+        """Read-only ``{(target, feature): weight}`` view, built on each access."""
+        cells = zip(row_tuples(self.targets), row_tuples(self.features))
+        return MappingProxyType(dict(zip(cells, self.weights.tolist())))
 
     def _check_key(self, tgt: Index, feat: Index) -> None:
         if len(tgt) != self.target_dims or len(feat) != self.feature_dims:
@@ -50,18 +197,34 @@ class SparseCounts:
             )
 
     def add(self, tgt: Index, feat: Index, weight: float) -> None:
-        """Accumulate ``weight`` at one cell, dropping the entry if it lands on zero."""
+        """Accumulate ``weight`` at one cell; a zero weight stores nothing."""
         self._check_key(tgt, feat)
-        if weight < 0:
-            raise ValueError("weights must be nonnegative")
-        if weight == 0:
-            return
-        key = (tuple(tgt), tuple(feat))
-        total = self.entries.get(key, 0.0) + weight
-        if total <= 0.0:
-            self.entries.pop(key, None)
-        else:
-            self.entries[key] = total
+        if not (weight >= 0 and math.isfinite(weight)):
+            raise ValueError("weights must be finite and nonnegative")
+        if weight != 0:
+            key = tuple(map(operator.index, tgt)) + tuple(map(operator.index, feat))
+            self._pending.append((key, float(weight)))
+
+    def add_rows(self, keys, weights) -> "SparseCounts":
+        """Bitwise the same as one :meth:`add` per row, in row order, but all-or-nothing.
+
+        A key row is the target then the feature coordinates.  The rows are
+        checked in full before the arrays are replaced by new ones.
+        """
+        keys = _index_matrix(keys, self.target_dims + self.feature_dims)
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (len(keys),):
+            raise ShapeError(f"{len(keys)} index rows but weights of shape {weights.shape}")
+        if len(weights):
+            low = weights.min()
+            if not (low >= 0 and weights.max() < math.inf):
+                raise ValueError("weights must be finite and nonnegative")
+            if low == 0:
+                keys, weights = keys[weights != 0], weights[weights != 0]
+            old_keys, old_weights = self._arrays()
+            keys, weights = np.concatenate([old_keys, keys]), np.concatenate([old_weights, weights])
+            self._set(*_coalesce(keys, weights))
+        return self
 
     def same_shape(self, other: "SparseCounts") -> bool:
         return (
@@ -70,10 +233,10 @@ class SparseCounts:
         )
 
     def total_weight(self) -> float:
-        return sum(self.entries.values())
+        return sum(self.weights.tolist())
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.weights)
 
     def __eq__(self, other) -> bool:
         return (
@@ -85,13 +248,11 @@ class SparseCounts:
     def __repr__(self) -> str:
         return (
             f"SparseCounts(target_dims={self.target_dims}, "
-            f"feature_dims={self.feature_dims}, nnz={len(self.entries)})"
+            f"feature_dims={self.feature_dims}, nnz={len(self)})"
         )
 
     def copy(self) -> "SparseCounts":
-        out = SparseCounts(self.target_dims, self.feature_dims)
-        out.entries = dict(self.entries)
-        return out
+        return SparseCounts._of(self.target_dims, self.feature_dims, *self._arrays())
 
     def iadd(self, other: "SparseCounts") -> "SparseCounts":
         """In-place entrywise accumulation; see :func:`accumulate`."""
@@ -100,9 +261,7 @@ class SparseCounts:
                 f"cannot accumulate ({other.target_dims},{other.feature_dims}) "
                 f"into ({self.target_dims},{self.feature_dims})"
             )
-        for (tgt, feat), weight in other.entries.items():
-            self.add(tgt, feat, weight)
-        return self
+        return self.add_rows(*other._arrays())
 
     def contract_feature_dim(self, k: int) -> "SparseCounts":
         """Sum out feature dimension ``k``, preserving total weight."""
@@ -110,10 +269,7 @@ class SparseCounts:
             raise ShapeError(
                 f"feature dimension {k} out of range [0, {self.feature_dims})"
             )
-        out = SparseCounts(self.target_dims, self.feature_dims - 1)
-        for (tgt, feat), weight in self.entries.items():
-            out.add(tgt, feat[:k] + feat[k + 1 :], weight)
-        return out
+        return self.keep_feature_dims(d for d in range(self.feature_dims) if d != k)
 
     def keep_feature_dims(self, keep: Iterable[int]) -> "SparseCounts":
         """Contract every feature dimension not listed in ``keep``."""
@@ -121,24 +277,22 @@ class SparseCounts:
         for d in kept:
             if not 0 <= d < self.feature_dims:
                 raise ShapeError(f"feature dimension {d} out of range")
-        out = SparseCounts(self.target_dims, len(kept))
-        for (tgt, feat), weight in self.entries.items():
-            out.add(tgt, tuple(feat[d] for d in kept), weight)
-        return out
+        keys, weights = self._arrays()
+        columns = list(range(self.target_dims)) + [self.target_dims + d for d in kept]
+        return SparseCounts._of(self.target_dims, len(kept), *_coalesce(keys[:, columns], weights))
+
+    def _marginal(self, columns: Sequence[int] | slice) -> Dict[Index, float]:
+        keys, weights = self._arrays()
+        cells, totals = _coalesce(keys[:, columns], weights)
+        return dict(zip(row_tuples(cells), totals.tolist()))
 
     def marginal_over_targets(self) -> Dict[Index, float]:
         """Per feature multi-index, the weight summed over all targets."""
-        out: Dict[Index, float] = {}
-        for (_, feat), weight in self.entries.items():
-            out[feat] = out.get(feat, 0.0) + weight
-        return out
+        return self._marginal(slice(self.target_dims, None))
 
     def marginal_over_features(self) -> Dict[Index, float]:
         """Per target multi-index, the weight summed over all features."""
-        out: Dict[Index, float] = {}
-        for (tgt, _), weight in self.entries.items():
-            out[tgt] = out.get(tgt, 0.0) + weight
-        return out
+        return self._marginal(slice(None, self.target_dims))
 
 
 def accumulate(acc: SparseCounts, obs: SparseCounts) -> SparseCounts:

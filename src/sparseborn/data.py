@@ -15,7 +15,10 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .counts import Index, SparseCounts
 from .errors import InvalidRecordError, ParseError, SchemaError
@@ -232,15 +235,27 @@ class EncodedObservation:
 
     def counts(self, target_dims: int, feature_dims: int) -> SparseCounts:
         """Materialize the joint counts X as a sparse tensor."""
-        if len(self.label_weights) != target_dims or self.n_feature_dims != feature_dims:
+        rows = joint_rows([self], target_dims, feature_dims)
+        return SparseCounts(target_dims, feature_dims).add_rows(*rows)
+
+
+def joint_rows(
+    observations: Iterable[EncodedObservation], target_dims: int, feature_dims: int
+) -> Tuple[np.ndarray, List[float]]:
+    """The joint counts of many observations, in order, as int64 key rows
+    (target then feature coordinates) and their weights."""
+    coords: List[int] = []  # flat, row after row; shaped once at the end
+    weights: List[float] = []
+    all_dims = range(feature_dims)
+    for obs in observations:
+        if len(obs.label_weights) != target_dims or obs.n_feature_dims != feature_dims:
             raise SchemaError("observation shape does not match requested tensor shape")
-        out = SparseCounts(target_dims, feature_dims)
-        targets = self.target_product()
-        features = self.features_at(range(feature_dims))
-        for tgt, tw in targets.items():
-            for feat, fw in features.items():
-                out.add(tgt, feat, tw * fw)
-        return out
+        feats = obs.features_at(all_dims)
+        for tgt, tw in obs.target_product().items():
+            coords.extend(chain.from_iterable(tgt + feat for feat in feats))
+            weights.extend([tw * fw for fw in feats.values()])
+    keys = np.array(coords, dtype=np.int64).reshape(len(weights), target_dims + feature_dims)
+    return keys, weights
 
 
 def _open_maybe(source, mode="r", **kw):
@@ -353,6 +368,10 @@ def load_token_records(source) -> List[RawRecord]:
                     count = float(count)
                 except (TypeError, ValueError):
                     raise ParseError(f"bad count for token {token!r}", line=lineno)
+                if not math.isfinite(count):
+                    raise ParseError(
+                        f"token {token!r} has non-finite count", line=lineno
+                    )
                 if count <= 0:
                     raise ParseError(
                         f"token {token!r} has nonpositive count", line=lineno
@@ -409,9 +428,9 @@ def encode(
     out = []
     for n, rec in enumerate(records):
         for _, _, mult in rec.features:
-            if not mult > 0:
+            if not (mult > 0 and math.isfinite(mult)):
                 raise InvalidRecordError(
-                    f"record {n}: feature multiplicity must be positive"
+                    f"record {n}: feature multiplicity must be positive and finite"
                 )
         if grow and not rec.labels:
             raise InvalidRecordError(f"record {n}: training record has no label")

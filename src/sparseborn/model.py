@@ -15,15 +15,14 @@ from __future__ import annotations
 import json
 import math
 import threading
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
-from .counts import Index, SparseCounts
-from .data import EncodedObservation, Vocabulary
+from .counts import Index, SparseCounts, rank_rows, row_tuples, sort_groups
+from .data import EncodedObservation, Vocabulary, joint_rows
 from .errors import ArchiveError, InvalidRecordError, ShapeError
 from .policy import Policy
 
@@ -47,12 +46,12 @@ class Hyperparams:
     p: float = 0.5
 
     def __post_init__(self):
-        if not self.h >= 0:
-            raise ValueError("h must be >= 0")
-        if not self.b >= 0:
-            raise ValueError("b must be >= 0")
-        if not self.p > 0:
-            raise ValueError("p must be > 0")
+        if not (self.h >= 0 and math.isfinite(self.h)):
+            raise ValueError("h must be finite and >= 0")
+        if not (self.b >= 0 and math.isfinite(self.b)):
+            raise ValueError("b must be finite and >= 0")
+        if not (self.p > 0 and math.isfinite(self.p)):
+            raise ValueError("p must be finite and > 0")
 
 
 class PhaseTable:
@@ -78,22 +77,20 @@ class PhaseTable:
         return isinstance(other, PhaseTable) and self.entries == other.entries
 
 
-def _grouped_arrays(entries: Mapping[Tuple[Index, Index], float]):
-    """Sort entries by (feature, target) and return the grouped arrays."""
-    target_ids = sorted({t for t, _ in entries})
-    feat_ids = sorted({f for _, f in entries})
-    tpos = {t: i for i, t in enumerate(target_ids)}
-    fpos = {f: j for j, f in enumerate(feat_ids)}
-    triples = sorted(
-        (fpos[f], tpos[t], w) for (t, f), w in entries.items()
-    )
-    cols = np.array([c for c, _, _ in triples], dtype=np.int64)
-    rows = np.array([r for _, r, _ in triples], dtype=np.int32)
-    weights = np.array([w for _, _, w in triples], dtype=np.float64)
-    col_ptr = np.zeros(len(feat_ids) + 1, dtype=np.int64)
-    np.add.at(col_ptr, cols + 1, 1)
-    np.cumsum(col_ptr, out=col_ptr)
-    return target_ids, feat_ids, rows, cols, weights, col_ptr
+def _grouped_arrays(counts: SparseCounts):
+    """Rank the targets and features, then sort the entries by (feature, target).
+
+    Rows and columns are the ranks of the target and feature multi-indices
+    in sorted order; ``col_ptr`` delimits each column's run of entries.
+    """
+    targets, rows = rank_rows(counts.targets)
+    feats, cols = rank_rows(counts.features)
+    order = np.argsort(cols * len(targets) + rows)  # (col, row) pairs are distinct
+    rows = rows[order].astype(np.int32)
+    cols = cols[order]
+    col_ptr = np.zeros(len(feats) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=len(feats)), out=col_ptr[1:])
+    return row_tuples(targets), row_tuples(feats), rows, cols, counts.weights[order], col_ptr
 
 
 def _marginals(rows, cols, weights, n_targets, n_feats):
@@ -135,9 +132,9 @@ def entropy_weights(corpus: SparseCounts, n_targets: int | None = None) -> Dict[
     ``n_targets`` is the size of the target index space (H_max = ln of it);
     defaults to the number of distinct observed target multi-indices.
     """
-    if not corpus.entries:
+    if not len(corpus):
         raise InvalidRecordError("corpus is empty")
-    target_ids, feat_ids, rows, cols, weights, _ = _grouped_arrays(corpus.entries)
+    target_ids, feat_ids, rows, cols, weights, _ = _grouped_arrays(corpus)
     if n_targets is None:
         n_targets = len(target_ids)
     row_sums, _ = _marginals(rows, cols, weights, len(target_ids), len(feat_ids))
@@ -153,16 +150,15 @@ def weight_tensor(corpus: SparseCounts, b: float) -> Dict[Tuple[Index, Index], f
     """
     if not b >= 0:
         raise ValueError("b must be >= 0")
-    if not corpus.entries:
+    if not len(corpus):
         return {}
-    target_ids, feat_ids, rows, cols, weights, _ = _grouped_arrays(corpus.entries)
+    target_ids, feat_ids, rows, cols, weights, _ = _grouped_arrays(corpus)
     row_sums, col_sums = _marginals(rows, cols, weights, len(target_ids), len(feat_ids))
     ct = _balanced_weights(weights, rows, cols, row_sums, col_sums, b)
-    # the arrays are sorted by (col, row); rebuild the key order to match
-    tpos = {t: i for i, t in enumerate(target_ids)}
-    fpos = {f: j for j, f in enumerate(feat_ids)}
-    order = sorted(((fpos[f], tpos[t]), (t, f)) for t, f in corpus.entries)
-    return {key: float(ct[k]) for k, (_, key) in enumerate(order)}
+    return {
+        (target_ids[r], feat_ids[c]): w
+        for r, c, w in zip(rows.tolist(), cols.tolist(), ct.tolist())
+    }
 
 
 class _LevelTable:
@@ -272,10 +268,14 @@ class Model:
     def target_marginal(self) -> Dict[Index, float]:
         """Raw per-target corpus weight (exact, order-independent sums)."""
         if self._marginal is None:
-            grouped: Dict[Index, list] = defaultdict(list)
-            for (tgt, _), w in self.corpus.entries.items():
-                grouped[tgt].append(w)
-            self._marginal = {t: math.fsum(ws) for t, ws in sorted(grouped.items())}
+            targets = self.corpus.targets
+            order, starts = sort_groups(targets)
+            weights = self.corpus.weights[order].tolist()
+            bounds = np.flatnonzero(starts).tolist() + [len(weights)]
+            self._marginal = {
+                t: math.fsum(weights[lo:hi])
+                for t, lo, hi in zip(row_tuples(targets[order[starts]]), bounds, bounds[1:])
+            }
         return self._marginal
 
     def target_prior(self) -> Dict[Index, float]:
@@ -302,9 +302,9 @@ class Model:
     def _build_table(self, keep: FrozenSet[int]) -> _LevelTable:
         full = keep == frozenset(range(self.n_feature_dims))
         corpus = self.corpus if full else self.corpus.keep_feature_dims(keep)
-        if not corpus.entries:
+        if not len(corpus):
             raise InvalidRecordError("cannot derive weights from an empty corpus")
-        target_ids, feat_ids, rows, cols, weights, col_ptr = _grouped_arrays(corpus.entries)
+        target_ids, feat_ids, rows, cols, weights, col_ptr = _grouped_arrays(corpus)
         row_sums, col_sums = _marginals(rows, cols, weights, len(target_ids), len(feat_ids))
         entropy = _entropy_per_feature(
             rows, cols, weights, row_sums, len(feat_ids), self.vocab.target_space_size()
@@ -313,15 +313,16 @@ class Model:
         amp = entropy[cols] ** self.hyper.h * ct ** self.hyper.p
         phi = None
         if self.phases and full:
-            tpos = {t: i for i, t in enumerate(target_ids)}
-            fpos = {f: j for j, f in enumerate(feat_ids)}
-            order = sorted(((fpos[f], tpos[t]), (t, f)) for t, f in corpus.entries)
             phi = np.array(
-                [self.phases.get(t, f) for _, (t, f) in order], dtype=np.float64
+                [
+                    self.phases.get(target_ids[r], feat_ids[c])
+                    for r, c in zip(rows.tolist(), cols.tolist())
+                ],
+                dtype=np.float64,
             )
             if not phi.any():
                 phi = None
-        feat_pos = {f: j for j, f in enumerate(feat_ids)}
+        feat_pos = dict(zip(feat_ids, range(len(feat_ids))))
         return _LevelTable(
             keep, target_ids, feat_ids, feat_pos, col_ptr, rows, amp, phi, entropy
         )
@@ -476,11 +477,14 @@ class Model:
     # -- training ------------------------------------------------------
 
     def update(self, observations: Sequence[EncodedObservation]) -> "Model":
-        """Accumulate new observations into the corpus and drop caches."""
-        for obs in observations:
-            counts = obs.counts(self.corpus.target_dims, self.corpus.feature_dims)
-            self.corpus.iadd(counts)
+        """Accumulate new observations into the corpus and drop caches.
+
+        All-or-nothing: the new counts are built in full before the corpus
+        changes, so a call that raises leaves the model as it was.
+        """
         if observations:
+            shape = self.corpus.target_dims, self.corpus.feature_dims
+            self.corpus.add_rows(*joint_rows(observations, *shape))
             self._invalidate()
         return self
 
@@ -488,6 +492,8 @@ class Model:
 
     def save(self, sink) -> None:
         """Write a self-describing JSON archive; deterministic byte-for-byte."""
+        corpus = self.corpus
+        order, _ = sort_groups(np.hstack([corpus.targets, corpus.features]))
         payload = {
             "format": ARCHIVE_FORMAT,
             "version": ARCHIVE_VERSION,
@@ -499,23 +505,26 @@ class Model:
                 {"name": d.name, "values": d.values} for d in self.vocab.feature_dims
             ],
             "policy": self.policy.to_lists(),
-            "corpus": [
-                [list(t), list(f), w]
-                for (t, f), w in sorted(self.corpus.entries.items())
-            ],
+            "corpus": list(
+                zip(
+                    corpus.targets[order].tolist(),
+                    corpus.features[order].tolist(),
+                    corpus.weights[order].tolist(),
+                )
+            ),
         }
         if self.phases:
             payload["phases"] = [
                 [list(t), list(f), angle]
                 for (t, f), angle in sorted(self.phases.entries.items())
             ]
+        # json.dumps takes the C encoder; json.dump always runs the Python one
+        text = json.dumps(payload, separators=(",", ":")) + "\n"
         if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
             with open(sink, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, separators=(",", ":"))
-                fh.write("\n")
+                fh.write(text)
         else:
-            json.dump(payload, sink, separators=(",", ":"))
-            sink.write("\n")
+            sink.write(text)
 
 
 def fit(
@@ -532,11 +541,11 @@ def fit(
     """
     if not observations:
         raise InvalidRecordError("empty training set")
-    corpus = SparseCounts(vocab.n_target_dims, vocab.n_feature_dims)
     for obs in observations:
         if len(obs.label_weights) != vocab.n_target_dims or obs.n_feature_dims != vocab.n_feature_dims:
             raise ShapeError("observation shape does not match vocabulary")
-        corpus.iadd(obs.counts(vocab.n_target_dims, vocab.n_feature_dims))
+    shape = vocab.n_target_dims, vocab.n_feature_dims
+    corpus = SparseCounts(*shape).add_rows(*joint_rows(observations, *shape))
     return Model(corpus, vocab.copy(), hyper=hyper, phases=phases, policy=policy)
 
 
@@ -567,9 +576,7 @@ def load(source) -> Model:
             for value in spec["values"]:
                 vocab.feature_dims[d].encode(value, grow=True)
         hyper = Hyperparams(**payload["hyper"])
-        corpus = SparseCounts(vocab.n_target_dims, vocab.n_feature_dims)
-        for tgt, feat, weight in payload["corpus"]:
-            corpus.add(tuple(tgt), tuple(feat), float(weight))
+        corpus = SparseCounts.from_cells(vocab.n_target_dims, vocab.n_feature_dims, payload["corpus"])
         phases = PhaseTable(
             {
                 (tuple(tgt), tuple(feat)): float(angle)

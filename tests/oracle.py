@@ -166,3 +166,28 @@ def brute_metrics(predictions, truths):
         for k in range(3)
     )
     return per_class, accuracy, weighted, macro
+
+
+class DictCounts:
+    """Plain-dict accumulator keyed by (target, feature): the reference for SparseCounts."""
+
+    def __init__(self, cells=()):
+        self.entries = {}
+        for (tgt, feat), weight in cells:
+            self.add(tgt, feat, weight)
+
+    def add(self, tgt, feat, weight):
+        if weight != 0:
+            key = (tuple(tgt), tuple(feat))
+            self.entries[key] = self.entries.get(key, 0.0) + weight
+
+    def iadd(self, other):
+        for (tgt, feat), weight in other.entries.items():
+            self.add(tgt, feat, weight)
+
+    def keep_feature_dims(self, keep):
+        kept = sorted(set(keep))
+        out = DictCounts()
+        for (tgt, feat), weight in self.entries.items():
+            out.add(tgt, tuple(feat[d] for d in kept), weight)
+        return out

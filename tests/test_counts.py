@@ -1,9 +1,12 @@
 """Sparse count tensor operations against dense brute-force checks."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import DictCounts
 from sparseborn.counts import SparseCounts, accumulate
 from sparseborn.errors import ShapeError
 
@@ -146,3 +149,67 @@ def test_sparse_ops_match_dense_oracle(e):
     for j0 in range(4):
         for j1 in range(4):
             assert cols.get((j0, j1), 0.0) == pytest.approx(dense[:, j0, j1].sum())
+
+
+def test_non_finite_weights_rejected():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            tensor({}).add((0,), (0,), bad)
+        with pytest.raises(ValueError):
+            SparseCounts(1, 1).add_rows([(0, 0)], [bad])
+
+
+def test_entries_view_is_read_only():
+    t = tensor({((0,), (1,)): 2.0})
+    with pytest.raises(TypeError):
+        t.entries[((0,), (1,))] = 3.0
+
+
+def bits(counts):
+    """Entries in iteration order with each weight's exact bit pattern."""
+    return [(key, float.hex(w)) for key, w in counts.entries.items()]
+
+
+@st.composite
+def count_programs(draw):
+    """Tensor shape plus a random sequence of add, iadd and read operations."""
+    t_dims = draw(st.integers(1, 3))
+    f_dims = draw(st.integers(1, 3))
+    coord = st.integers(0, 2)
+    key = st.tuples(st.tuples(*[coord] * t_dims), st.tuples(*[coord] * f_dims))
+    weight = st.one_of(
+        st.just(0.0),
+        st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 1e-300, 5e-324]),
+        st.floats(0, 10, allow_nan=False, allow_infinity=False),
+    )
+    cell = st.tuples(key, weight)
+    op = st.one_of(
+        st.tuples(st.just("add"), cell),
+        st.tuples(st.just("iadd"), st.lists(cell, max_size=8)),
+        st.just(("read",)),
+    )
+    return t_dims, f_dims, draw(st.lists(op, max_size=30))
+
+
+@settings(deadline=None, max_examples=150)
+@given(count_programs(), st.data())
+def test_columnar_counts_match_dict_accumulator_bitwise(program, data):
+    """Same cells, same iteration order, same bits as a dict, contractions included."""
+    t_dims, f_dims, ops = program
+    counts, ref = SparseCounts(t_dims, f_dims), DictCounts()
+    for op in ops:
+        if op[0] == "add":
+            (tgt, feat), weight = op[1]
+            counts.add(tgt, feat, weight)
+            ref.add(tgt, feat, weight)
+        elif op[0] == "iadd":
+            counts.iadd(SparseCounts(t_dims, f_dims, op[1]))
+            ref.iadd(DictCounts(op[1]))
+        else:  # folds the pending adds in mid-sequence
+            assert len(counts) == len(ref.entries)
+    assert bits(counts) == bits(ref)
+    keep = data.draw(st.sets(st.integers(0, f_dims - 1)))
+    assert bits(counts.keep_feature_dims(keep)) == bits(ref.keep_feature_dims(keep))
+    k = data.draw(st.integers(0, f_dims - 1))
+    contracted = ref.keep_feature_dims(set(range(f_dims)) - {k})
+    assert bits(counts.contract_feature_dim(k)) == bits(contracted)

@@ -176,6 +176,21 @@ def test_encode_rejects_nonpositive_multiplicity():
         encode([rec], vocab, grow=True)
 
 
+def test_encode_rejects_non_finite_multiplicity():
+    for mult in (math.inf, math.nan):
+        rec = RawRecord(labels=[("class", "t")], features=[("f", "a", mult)])
+        with pytest.raises(InvalidRecordError):
+            encode([rec], Vocabulary(), grow=True)
+
+
+@pytest.mark.parametrize("count", ['"inf"', '"nan"', "Infinity", "NaN", '"-inf"'])
+def test_load_token_records_rejects_non_finite_counts(count):
+    lines = '{"labels": ["y"], "tokens": {"a": 1}}\n{"labels": ["y"], "tokens": {"x": %s}}\n' % count
+    with pytest.raises(ParseError) as err:
+        load_token_records(io.StringIO(lines))
+    assert "line 2" in str(err.value)
+
+
 def test_ingest_twice_is_deterministic():
     records1 = load_tabular(io.StringIO(ZOO_LIKE), ["class"])
     records2 = load_tabular(io.StringIO(ZOO_LIKE), ["class"])

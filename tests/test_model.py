@@ -10,7 +10,7 @@ from helpers import build_vocab, labeled_obs, make_model, query_obs, random_matr
 from oracle import DenseOracle, bayes_rule, born_rule, contract_entries
 from sparseborn.counts import SparseCounts
 from sparseborn.data import EncodedObservation, Vocabulary, encode, RawRecord
-from sparseborn.errors import ArchiveError, InvalidRecordError, ShapeError
+from sparseborn.errors import ArchiveError, InvalidRecordError, SchemaError, ShapeError
 from sparseborn.model import (
     Hyperparams,
     PhaseTable,
@@ -19,6 +19,7 @@ from sparseborn.model import (
     load,
     weight_tensor,
 )
+from sparseborn.policy import Policy
 
 
 def dist_close(a, b, tol=1e-12):
@@ -37,6 +38,13 @@ def test_hyperparams_validation():
         Hyperparams(b=-0.1)
     with pytest.raises(ValueError):
         Hyperparams(p=0.0)
+
+
+def test_hyperparams_reject_non_finite():
+    for name in ("h", "b", "p"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Hyperparams(**{name: value})
 
 
 def test_phase_table_drops_zeros_and_checks_finite():
@@ -104,6 +112,19 @@ def test_online_chunks_equal_single_shot():
     for start in range(10, 100, 10):
         chunked.update(data[start : start + 10])
     assert single.corpus.entries == chunked.corpus.entries
+
+
+def test_update_sums_cells_like_a_refit_bitwise():
+    """A cell that several new observations hit is summed in arrival order."""
+    vocab = build_vocab(2, [3])
+    obs = [
+        EncodedObservation(label_weights=({0: 1.0},), feature_weights=({0: w, 1: 0.1 * w},))
+        for w in (0.7, 0.7, 0.7, 0.7, 0.7, 1 / 3)
+    ]
+    updated = fit(obs[:2], vocab).update(obs[2:])
+    refit = fit(obs, vocab)
+    bits = lambda model: [(key, w.hex()) for key, w in model.corpus.entries.items()]
+    assert bits(updated) == bits(refit)
 
 
 def test_update_invalidates_caches():
@@ -523,6 +544,73 @@ def test_load_rejects_bad_archives():
     del payload["version"]
     with pytest.raises(ArchiveError):
         load(io.StringIO(json.dumps(payload)))
+
+
+def test_load_rejects_non_finite_corpus_weight():
+    good = io.StringIO()
+    make_model({((0,), (0,)): 1.0, ((1,), (1,)): 2.0}, 2, [2]).save(good)
+    for bad in (math.nan, math.inf):
+        payload = json.loads(good.getvalue())
+        payload["corpus"][1][2] = bad
+        with pytest.raises(ArchiveError):
+            load(io.StringIO(json.dumps(payload)))
+
+
+# An archive written before the corpus was stored as arrays; the same inputs
+# must still produce exactly these bytes.
+GOLDEN_ARCHIVE = (
+    '{"format":"sparseborn-model","version":1,"hyper":{"h":0.5,"b":0.25,"p":0.6666666666666666}'
+    ',"target_dims":[{"name":"class","values":["c0","c1","c2"]}],"feature_dims":[{"name":"dim0",'
+    '"values":["d0v0","d0v1","d0v2"]},{"name":"dim1","values":["d1v0","d1v1"]'
+    '}],"policy":[[0,1],[1],[]],"corpus":[[[0],[0,1],0.256],[[0],[1,1],0.09]'
+    ',[[0],[2,1],0.8333333333333333],[[1],[0,0],0.35],[[1],[0,1],0.06999999999999999]'
+    ',[[2],[0,0],0.7],[[2],[0,1],0.13999999999999999]],"phases":[[[0],[0,1]'
+    ',0.25],[[1],[0,0],-1.5]]}\n'
+)
+
+
+def test_archive_bytes_match_golden(tmp_path):
+    """Two feature dimensions, fractional sums, phases and a non-default policy."""
+    vocab = build_vocab(3, [3, 2])
+    obs = [
+        EncodedObservation(label_weights=({0: 1.0},), feature_weights=({0: 0.1, 2: 1 / 3}, {1: 2.5})),
+        EncodedObservation(label_weights=({2: 1.0, 1: 0.5},), feature_weights=({0: 0.7}, {0: 1.0, 1: 0.2})),
+        EncodedObservation(
+            label_weights=({0: 1.0},), feature_weights=({0: 0.2, 1: 3.0}, {1: 0.1}), scale=0.3
+        ),
+    ]
+    model = fit(
+        obs,
+        vocab,
+        hyper=Hyperparams(h=0.5, b=0.25, p=2 / 3),
+        phases=PhaseTable({((0,), (0, 1)): 0.25, ((1,), (0, 0)): -1.5}),
+        policy=Policy.from_lists([[0, 1], [1], []]),
+    )
+    buffer = io.StringIO()
+    model.save(buffer)
+    assert buffer.getvalue() == GOLDEN_ARCHIVE
+    model.save(tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_text(encoding="utf-8") == GOLDEN_ARCHIVE
+
+
+def test_failed_update_leaves_model_unchanged():
+    rng = np.random.default_rng(31)
+    entries, n_targets, n_feats = random_matrix_corpus(rng)
+    model = make_model(entries, n_targets, [n_feats])
+    queries = [query_obs(random_query(rng, n_feats)) for _ in range(10)]
+    predictions = [model.predict(q).distribution for q in queries]
+    cells = list(model.corpus.entries.items())
+    archive = io.StringIO()
+    model.save(archive)
+    good = labeled_obs(0, {(0,): 5.0})
+    bad = EncodedObservation(label_weights=({0: 1.0},), feature_weights=({0: 1.0}, {0: 1.0}))
+    with pytest.raises(SchemaError):
+        model.update([good, bad])
+    assert list(model.corpus.entries.items()) == cells
+    assert [model.predict(q).distribution for q in queries] == predictions
+    after = io.StringIO()
+    model.save(after)
+    assert after.getvalue() == archive.getvalue()
 
 
 # -- caches and concurrency -----------------------------------------------
