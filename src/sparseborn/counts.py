@@ -30,36 +30,29 @@ Key = Tuple[Index, Index]
 
 
 def sort_groups(keys: np.ndarray):
-    """Stable lexicographic row order, and a mask marking where each run of equal rows starts.
-
-    Nonnegative keys whose ranges fit are sorted as one mixed-radix int64
-    code per row, which is faster than a multi-key ``np.lexsort``.
-    """
+    """Stable lexicographic row order, and a mask marking where each run of equal rows starts."""
     n, width = keys.shape
-    codes = keys[:, 0] if width == 1 else None
-    if n and width > 1:
-        spans = [m + 1 for m in keys.max(axis=0).tolist()]
-        if math.prod(spans) < 2**63 and keys.min() >= 0:
-            codes = keys @ np.array([math.prod(spans[d + 1 :]) for d in range(width)])
-    if codes is not None:
-        order = np.argsort(codes, kind="stable")
-        ordered = codes[order]
-        differs = ordered[1:] != ordered[:-1]
+    if width == 1:
+        order = np.argsort(keys[:, 0], kind="stable")
     else:
         order = np.lexsort(keys.T[::-1]) if width else np.arange(n)
-        ordered = keys[order]
-        differs = (ordered[1:] != ordered[:-1]).any(axis=1)
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = differs
-    return order, starts
+    return order, run_starts(keys[order])
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a sorted matrix that differ from the row before them."""
+    starts = np.ones(len(ordered), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return starts
 
 
 def rank_rows(keys: np.ndarray):
-    """Distinct rows in lexicographic order, and each input row's rank among them."""
+    """The first occurrence of each distinct row, in lexicographic order of
+    the rows, and every row's rank among the distinct rows."""
     order, starts = sort_groups(keys)
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return keys[order[starts]], inverse
+    ranks = np.empty(len(keys), dtype=np.intp)
+    ranks[order] = np.cumsum(starts) - 1
+    return order[starts], ranks
 
 
 def _coalesce(keys: np.ndarray, weights: np.ndarray):
@@ -68,14 +61,11 @@ def _coalesce(keys: np.ndarray, weights: np.ndarray):
     ``np.add.at`` adds in row order, so every total is the left-to-right sum
     a dict accumulator would produce, bitwise.
     """
-    order, starts = sort_groups(keys)
-    if starts.all():
+    first, group = rank_rows(keys)  # the stable sort finds each group's earliest row
+    if len(first) == len(keys):
         return keys, weights
-    group = np.empty(len(keys), dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    totals = np.zeros(np.count_nonzero(starts))
+    totals = np.zeros(len(first))
     np.add.at(totals, group, weights)
-    first = order[starts]  # the stable sort puts each group's earliest row first
     by_arrival = np.argsort(first)
     return keys[first[by_arrival]], totals[by_arrival]
 
@@ -128,23 +118,22 @@ class SparseCounts:
 
     @classmethod
     def from_cells(cls, target_dims: int, feature_dims: int, cells) -> "SparseCounts":
-        """Sum ``[target, feature, weight]`` cells with list coordinates.
+        """Counts from ``[target, feature, weight]`` cells with list coordinates.
 
-        Distinct cells sorted by key with positive finite weights, as
-        :meth:`Model.save` writes them, need no summing.  No per-cell
-        container outlives a step, which keeps large loads free of garbage
-        collections.
+        Cells in strictly increasing key order with positive finite weights,
+        as :meth:`Model.save` writes them, are taken as they are: on small
+        archives the sort and the checks in :meth:`add_rows` would add about
+        a third to the time of a load.  Any other cells go through
+        :meth:`add_rows`.
         """
         width = target_dims + feature_dims
+        # one flat list of coordinates, so no per-cell container outlives its step
         flat = [
             i for t, f, _ in cells if len(t) == target_dims and len(f) == feature_dims for i in t + f
         ]
         if len(flat) != len(cells) * width:
             raise ShapeError("cell coordinates do not match the tensor shape")
-        keys = np.array(flat) if flat else np.empty(0, dtype=np.int64)
-        if keys.ndim != 1 or keys.dtype.kind != "i":
-            raise TypeError("cell coordinates must be integers")
-        keys = keys.reshape(len(cells), width)
+        keys = _index_matrix(np.array(flat).reshape(len(cells), width), width)
         weights = [w for _, _, w in cells]
         if all(0 < w < math.inf for w in weights) and all(
             a[0] < b[0] or a[0] == b[0] and a[1] < b[1] for a, b in zip(cells, cells[1:])
@@ -160,8 +149,8 @@ class SparseCounts:
         return out
 
     def _set(self, keys: np.ndarray, weights: np.ndarray) -> None:
-        keys.flags.writeable = False
-        weights.flags.writeable = False
+        keys.setflags(write=False)
+        weights.setflags(write=False)
         self._keys, self._weights = keys, weights
 
     def _arrays(self):
@@ -170,6 +159,11 @@ class SparseCounts:
             pending, self._pending = self._pending, []
             self.add_rows([key for key, _ in pending], [w for _, w in pending])
         return self._keys, self._weights
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The (n, target_dims + feature_dims) key matrix: target, then feature coordinates."""
+        return self._arrays()[0]
 
     @property
     def targets(self) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .counts import Index, SparseCounts, rank_rows, row_tuples, sort_groups
+from .counts import Index, SparseCounts, rank_rows, row_tuples, run_starts, sort_groups
 from .data import EncodedObservation, Vocabulary, joint_rows
 from .errors import ArchiveError, InvalidRecordError, ShapeError
 from .policy import Policy
@@ -78,19 +78,19 @@ class PhaseTable:
 
 
 def _grouped_arrays(counts: SparseCounts):
-    """Rank the targets and features, then sort the entries by (feature, target).
+    """Sort the entries by (feature, target) and rank both.
 
     Rows and columns are the ranks of the target and feature multi-indices
     in sorted order; ``col_ptr`` delimits each column's run of entries.
     """
-    targets, rows = rank_rows(counts.targets)
-    feats, cols = rank_rows(counts.features)
-    order = np.argsort(cols * len(targets) + rows)  # (col, row) pairs are distinct
-    rows = rows[order].astype(np.int32)
-    cols = cols[order]
-    col_ptr = np.zeros(len(feats) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=len(feats)), out=col_ptr[1:])
-    return row_tuples(targets), row_tuples(feats), rows, cols, counts.weights[order], col_ptr
+    first_target, rows = rank_rows(counts.targets)
+    order = np.lexsort((rows, *counts.features.T[::-1]))
+    feats = counts.features[order]
+    new_col = run_starts(feats)
+    col_ptr = np.append(np.flatnonzero(new_col), len(feats))
+    target_ids, feat_ids = row_tuples(counts.targets[first_target]), row_tuples(feats[new_col])
+    rows, cols = rows[order].astype(np.int32), np.cumsum(new_col) - 1
+    return target_ids, feat_ids, rows, cols, counts.weights[order], col_ptr
 
 
 def _marginals(rows, cols, weights, n_targets, n_feats):
@@ -456,10 +456,10 @@ class Model:
         """Rank targets for many queries; output is independent of worker count."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        # warm every policy level once so worker threads only read
-        for keep in self.policy.steps:
-            if keep:
-                self._table(keep)
+        if workers > 1:  # warm every policy level once so worker threads only read
+            for keep in self.policy.steps:
+                if keep:
+                    self._table(keep)
         self.target_prior()
 
         def one(obs):
@@ -493,7 +493,7 @@ class Model:
     def save(self, sink) -> None:
         """Write a self-describing JSON archive; deterministic byte-for-byte."""
         corpus = self.corpus
-        order, _ = sort_groups(np.hstack([corpus.targets, corpus.features]))
+        order, _ = sort_groups(corpus.keys)
         payload = {
             "format": ARCHIVE_FORMAT,
             "version": ARCHIVE_VERSION,
@@ -553,8 +553,8 @@ def load(source) -> Model:
     """Read a model archive written by :meth:`Model.save`."""
     try:
         if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-            with open(source, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+            with open(source, "rb") as fh:  # json decodes the UTF-8 bytes itself
+                payload = json.loads(fh.read())
         else:
             payload = json.load(source)
     except (OSError, json.JSONDecodeError) as exc:

@@ -556,6 +556,26 @@ def test_load_rejects_non_finite_corpus_weight():
             load(io.StringIO(json.dumps(payload)))
 
 
+def test_load_sums_unsorted_and_repeated_cells():
+    # cells out of order and split in two are summed in file order, as adds would be
+    archive = io.StringIO()
+    make_model({((0,), (0,)): 1.0, ((1,), (1,)): 2.0}, 2, [2]).save(archive)
+    payload = json.loads(archive.getvalue())
+    payload["corpus"] = [[[1], [1], 0.1], [[0], [0], 1.0], [[1], [1], 0.2], [[1], [0], 3.0]]
+    corpus = load(io.StringIO(json.dumps(payload))).corpus
+    assert list(corpus.entries.items()) == [
+        (((1,), (1,)), 0.1 + 0.2),
+        (((0,), (0,)), 1.0),
+        (((1,), (0,)), 3.0),
+    ]
+    payload["corpus"][0][1] = [0, 1]
+    with pytest.raises(ArchiveError):
+        load(io.StringIO(json.dumps(payload)))
+    payload["corpus"][0][1] = [0.5]
+    with pytest.raises(ArchiveError):
+        load(io.StringIO(json.dumps(payload)))
+
+
 # An archive written before the corpus was stored as arrays; the same inputs
 # must still produce exactly these bytes.
 GOLDEN_ARCHIVE = (
