@@ -1,24 +1,22 @@
 """Build script: compiles the optional accumulation kernels.
 
+The extension is built from ``_native.c``, which Cython generated from
+``_native.pyx`` and which is tracked alongside it, so installing needs a C
+compiler but not Cython.  After editing the ``.pyx``, regenerate the C file
+with ``cython -3 src/sparseborn/_kernels/_native.pyx`` and commit both.
+
 The package is fully functional without the compiled extension (a numpy
 fallback is selected at import time), so extension build failures are
 non-fatal.
 """
-import sys
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/sparseborn/_kernels/_native.pyx"],
-        language_level="3",
-    )
-    for ext in ext_modules:
-        ext.optional = True
-except Exception as exc:  # pragma: no cover - depends on build host
-    sys.stderr.write("sparseborn: building without compiled kernels (%s)\n" % exc)
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "sparseborn._kernels._native",
+            ["src/sparseborn/_kernels/_native.c"],
+            optional=True,
+        )
+    ]
+)

@@ -118,18 +118,8 @@ def _write_attributions(stream, rows: Sequence[explain_mod.FeatureAttribution]) 
     stream.write("\t".join(["target", "feature", "score", "share", "angle"]) + "\n")
     for r in rows:
         target = _label_str(r.target) if r.target is not None else ""
-        stream.write(
-            "\t".join(
-                [
-                    target,
-                    _label_str(r.feature),
-                    f"{r.score:.12g}",
-                    f"{r.share:.12g}",
-                    f"{r.angle:.12g}",
-                ]
-            )
-            + "\n"
-        )
+        values = [f"{v:.12g}" for v in (r.score, r.share, r.angle)]
+        stream.write("\t".join([target, _label_str(r.feature), *values]) + "\n")
 
 
 def cmd_explain(args) -> int:
@@ -141,28 +131,21 @@ def cmd_explain(args) -> int:
             if not targets:
                 print("error: global explanation needs --targets", file=sys.stderr)
                 return 1
-            rows = []
-            for t in targets:
-                rows.extend(explain_mod.explain_global(model, t, k=args.top_k))
-            _write_attributions(stream, rows)
+            rows = [r for t in targets for r in explain_mod.explain_global(model, t, k=args.top_k)]
         elif args.explain_mode == "discriminative":
-            _write_attributions(
-                stream, explain_mod.discriminative_features(model, args.top_k)
-            )
+            rows = explain_mod.discriminative_features(model, args.top_k)
         else:
             records = _load_records(args.data, args)
             observations = data_mod.encode(records, model.vocab, grow=False)
             if args.explain_mode == "local":
-                rows = []
-                for obs in observations:
-                    rows.extend(explain_mod.explain_local(model, obs, k=args.top_k))
-                _write_attributions(stream, rows)
+                rows = [
+                    r for obs in observations
+                    for r in explain_mod.explain_local(model, obs, k=args.top_k)
+                ]
             else:  # aggregate
                 grouped = explain_mod.aggregate_local(model, observations)
-                rows = []
-                for target in sorted(grouped):
-                    rows.extend(grouped[target][: args.top_k])
-                _write_attributions(stream, rows)
+                rows = [r for target in sorted(grouped) for r in grouped[target][: args.top_k]]
+        _write_attributions(stream, rows)
     finally:
         if owned:
             stream.close()

@@ -143,6 +143,24 @@ class Vocabulary:
             out.append(idx)
         return tuple(out)
 
+    def shape(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The number of values in each target and each feature dimension."""
+        return tuple(map(len, self.target_dims)), tuple(map(len, self.feature_dims))
+
+    def truncate(self, shape: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> None:
+        """Forget every dimension and value added since ``shape()`` returned ``shape``."""
+        for dims, by_name, sizes in (
+            (self.target_dims, self._target_by_name, shape[0]),
+            (self.feature_dims, self._feature_by_name, shape[1]),
+        ):
+            for dim in dims[len(sizes):]:
+                del by_name[dim.name]
+            del dims[len(sizes):]
+            for dim, size in zip(dims, sizes):
+                for value in dim.values[size:]:
+                    del dim._index[value]
+                del dim.values[size:]
+
     def copy(self) -> "Vocabulary":
         out = Vocabulary()
         out.target_dims = [d.copy() for d in self.target_dims]
@@ -216,13 +234,13 @@ class EncodedObservation:
         contributes factor 1 so the surviving dimensions still carry weight.
         Returns {} when a kept dimension has no encodable values.
         """
-        kept = sorted(set(keep))
+        keep = set(keep)
         factor = self.scale
         for d, dim_map in enumerate(self.feature_weights):
-            if d not in kept and dim_map:
+            if d not in keep and dim_map:
                 factor *= sum(dim_map.values())
         out: Dict[Index, float] = {(): factor}
-        for d in kept:
+        for d in sorted(keep):
             dim_map = self.feature_weights[d]
             if not dim_map:
                 return {}

@@ -53,44 +53,22 @@ class MetricReport:
     n: int
 
     def to_table(self, delimiter: str = "\t") -> str:
-        lines = [delimiter.join(["class", "precision", "recall", "f1", "support"])]
+        rows = [["class", "precision", "recall", "f1", "support"]]
         for label in sorted(self.per_class, key=str):
             m = self.per_class[label]
-            lines.append(
-                delimiter.join(
-                    [
-                        _label_str(label),
-                        f"{m.precision:.6f}",
-                        f"{m.recall:.6f}",
-                        f"{m.f1:.6f}",
-                        str(m.support),
-                    ]
-                )
-            )
-        lines.append(
-            delimiter.join(
-                [
-                    "weighted avg",
-                    f"{self.weighted_precision:.6f}",
-                    f"{self.weighted_recall:.6f}",
-                    f"{self.weighted_f1:.6f}",
-                    str(self.n),
-                ]
-            )
+            rows.append([_label_str(label), *_fixed6(m.precision, m.recall, m.f1), str(m.support)])
+        averages = (
+            ("weighted avg", self.weighted_precision, self.weighted_recall, self.weighted_f1),
+            ("macro avg", self.macro_precision, self.macro_recall, self.macro_f1),
         )
-        lines.append(
-            delimiter.join(
-                [
-                    "macro avg",
-                    f"{self.macro_precision:.6f}",
-                    f"{self.macro_recall:.6f}",
-                    f"{self.macro_f1:.6f}",
-                    str(self.n),
-                ]
-            )
-        )
-        lines.append(delimiter.join(["accuracy", f"{self.accuracy:.6f}", "", "", str(self.n)]))
-        return "\n".join(lines)
+        for name, *values in averages:
+            rows.append([name, *_fixed6(*values), str(self.n)])
+        rows.append(["accuracy", *_fixed6(self.accuracy), "", "", str(self.n)])
+        return "\n".join(delimiter.join(row) for row in rows)
+
+
+def _fixed6(*values: float) -> List[str]:
+    return [f"{v:.6f}" for v in values]
 
 
 def _label_str(label: Hashable) -> str:
@@ -181,23 +159,13 @@ class ExperimentResult:
     per_run_f1: Dict[str, List[float]] = field(default_factory=dict)
 
     def to_table(self, delimiter: str = "\t") -> str:
-        lines = [
-            delimiter.join(["config", "precision", "recall", "f1", "f1-macro", "accuracy"])
-        ]
+        lines = [delimiter.join(["config", "precision", "recall", "f1", "f1-macro", "accuracy"])]
         for name in self.configs:
             m = self.means[name]
-            lines.append(
-                delimiter.join(
-                    [
-                        name,
-                        f"{m.weighted_precision:.3f}",
-                        f"{m.weighted_recall:.3f}",
-                        f"{m.weighted_f1:.3f}",
-                        f"{m.macro_f1:.3f}",
-                        f"{m.accuracy:.3f}",
-                    ]
-                )
+            values = (
+                m.weighted_precision, m.weighted_recall, m.weighted_f1, m.macro_f1, m.accuracy
             )
+            lines.append(delimiter.join([name] + [f"{v:.3f}" for v in values]))
         lines.append("")
         lines.append("pairwise wins (row beats column, fraction of runs):")
         lines.append(self.pairwise.to_table(delimiter))
@@ -227,6 +195,11 @@ def _predict_records(
     observations = encode(records, model.vocab, grow=False)
     results = model.predict_batch(observations, k=1, workers=workers)
     return [model.vocab.decode_target(ranked[0]) for ranked, _, _ in results]
+
+
+def _label_dims(records: Sequence[RawRecord]) -> List[str]:
+    """Target dimension names in first-seen order."""
+    return list(dict.fromkeys(dim for rec in records for dim, _ in rec.labels))
 
 
 def _truth_labels(records: Sequence[RawRecord], dims: Sequence[str]) -> List[Tuple[str, ...]]:
@@ -268,11 +241,7 @@ def repeated_split_experiment(
     names = [name for name, _ in configs]
     per_run_f1: Dict[str, List[float]] = {name: [] for name in names}
     sums: Dict[str, List[float]] = {name: [0.0] * 5 for name in names}
-    label_dims: List[str] = []
-    for rec in records:
-        for dim, _ in rec.labels:
-            if dim not in label_dims:
-                label_dims.append(dim)
+    label_dims = _label_dims(records)
     for train_idx, test_idx in splits:
         train = [records[i] for i in train_idx]
         test = [records[i] for i in test_idx]
@@ -329,11 +298,7 @@ def holdout_experiment(
     """Single fit on ``train`` scored on ``test``; wall-clock times reported."""
     if not train or not test:
         raise InvalidRecordError("train and test sets must both be nonempty")
-    label_dims: List[str] = []
-    for rec in train:
-        for dim, _ in rec.labels:
-            if dim not in label_dims:
-                label_dims.append(dim)
+    label_dims = _label_dims(train)
     t0 = time.perf_counter()
     model = _fit_records(train, config, normalize)
     t1 = time.perf_counter()

@@ -18,9 +18,6 @@ from .data import EncodedObservation
 from .errors import UnknownTargetError
 from .model import Model
 
-ZERO_SCORE = 0.0
-
-
 @dataclass
 class FeatureAttribution:
     """One feature's importance for one target."""
@@ -32,14 +29,6 @@ class FeatureAttribution:
     score: float
     share: float
     angle: float = 0.0
-
-
-def _with_shares(rows: List[FeatureAttribution]) -> List[FeatureAttribution]:
-    total = math.fsum(r.score for r in rows)
-    if total > 0:
-        for r in rows:
-            r.share = r.score / total
-    return rows
 
 
 def _resolve_target(model: Model, target) -> Index:
@@ -64,6 +53,17 @@ def _resolve_target(model: Model, target) -> Index:
     return encoded
 
 
+def _target_addends(level, target_index: Index):
+    """Query positions, moduli and angles of the addends for one target.
+
+    A query feature with no stored entry for the target has no addend.
+    """
+    query, rows, modulus, angle = level.addends()
+    target_ids = level.table.target_ids
+    hit = rows == (target_ids.index(target_index) if target_index in target_ids else -1)
+    return query[hit], modulus[hit], angle[hit]
+
+
 def explain_local(
     model: Model,
     query: EncodedObservation,
@@ -75,48 +75,31 @@ def explain_local(
     The target defaults to the predicted one.  Empty when the prediction
     came from the terminal fallback: no feature carried evidence.
     """
-    prediction = model.predict(query)
-    if not prediction.kept_dims and model.n_feature_dims > 0:
+    _, level = model.walk(query)
+    if level is None:
         return []
-    if target is None:
-        target_index = prediction.top(1)[0][0]
-    else:
-        target_index = _resolve_target(model, target)
-    keep = frozenset(prediction.kept_dims) if model.n_feature_dims else frozenset()
-    table = model._table(keep) if keep else None
-    if table is None:
-        return []
-    arrays = model._query_arrays(query, keep, table)
-    if arrays is None:
-        return []
-    qcols, qvals, qtheta = arrays
-    qpow = qvals ** model.hyper.p
+    target_index = level.top() if target is None else _resolve_target(model, target)
+    n = len(level.qcols)
+    scores = [0.0] * n
+    angles = level.qtheta.tolist() if level.qtheta is not None else [0.0] * n
+    positions, modulus, angle = _target_addends(level, target_index)
+    for q, score, theta in zip(positions.tolist(), modulus.tolist(), angle.tolist()):
+        scores[q], angles[q] = score, theta
+    # qcols ascend and columns are ranked in feature index order, so the
+    # stable sort breaks score ties by feature index
+    order = sorted(range(n), key=scores.__getitem__, reverse=True)[:k]
+    cols = level.qcols.tolist()
+    total = math.fsum(scores)
+    decoded, kept = model.vocab.decode_target(target_index), level.kept
     rows = []
-    for q in range(len(qcols)):
-        col = int(qcols[q])
-        feat = table.feat_ids[col]
-        score = ZERO_SCORE
-        angle = float(qtheta[q]) if qtheta is not None else 0.0
-        for kk in range(table.col_ptr[col], table.col_ptr[col + 1]):
-            if table.target_ids[table.rows[kk]] == target_index:
-                score = float(table.amp[kk] * qpow[q])
-                if table.phi is not None:
-                    angle -= float(table.phi[kk])
-                break
+    for q in order:
+        feat = level.table.feat_ids[cols[q]]
+        feature = model.vocab.decode_feature(feat, kept)
+        share = scores[q] / total if total > 0 else 0.0
         rows.append(
-            FeatureAttribution(
-                target=model.vocab.decode_target(target_index),
-                target_index=target_index,
-                feature=model.vocab.decode_feature(feat, prediction.kept_dims),
-                feature_index=feat,
-                score=score,
-                share=0.0,
-                angle=angle,
-            )
+            FeatureAttribution(decoded, target_index, feature, feat, scores[q], share, angles[q])
         )
-    rows.sort(key=lambda r: (-r.score, r.feature_index))
-    rows = _with_shares(rows)
-    return rows[:k] if k is not None else rows
+    return rows
 
 
 def explain_global(model: Model, target, k: int | None = None) -> List[FeatureAttribution]:
@@ -188,25 +171,16 @@ def aggregate_local(
     """Sum local scores over queries, grouped by each query's predicted target."""
     sums: Dict[Tuple[Index, Tuple[int, ...]], Dict[Index, float]] = {}
     for query in queries:
-        prediction = model.predict(query, with_contributions=False)
-        if not prediction.kept_dims and model.n_feature_dims > 0:
+        _, level = model.walk(query)
+        if level is None:
             continue
-        predicted = prediction.top(1)[0][0]
-        keep = frozenset(prediction.kept_dims)
-        table = model._table(keep)
-        arrays = model._query_arrays(query, keep, table)
-        if arrays is None:
-            continue
-        qcols, qvals, _ = arrays
-        qpow = qvals ** model.hyper.p
-        bucket = sums.setdefault((predicted, prediction.kept_dims), {})
-        for q in range(len(qcols)):
-            col = int(qcols[q])
-            feat = table.feat_ids[col]
-            for kk in range(table.col_ptr[col], table.col_ptr[col + 1]):
-                if table.target_ids[table.rows[kk]] == predicted:
-                    bucket[feat] = bucket.get(feat, 0.0) + float(table.amp[kk] * qpow[q])
-                    break
+        predicted = level.top()
+        positions, modulus, _ = _target_addends(level, predicted)
+        bucket = sums.setdefault((predicted, level.kept), {})
+        feat_ids = level.table.feat_ids
+        for col, score in zip(level.qcols[positions].tolist(), modulus.tolist()):
+            feat = feat_ids[col]
+            bucket[feat] = bucket.get(feat, 0.0) + score
     out: Dict[Tuple[str, ...], List[FeatureAttribution]] = {}
     for (predicted, kept), bucket in sums.items():
         decoded_target = model.vocab.decode_target(predicted)
@@ -223,5 +197,8 @@ def aggregate_local(
         )
     for rows in out.values():
         rows.sort(key=lambda r: (-r.score, r.feature_index))
-        _with_shares(rows)
+        total = math.fsum(r.score for r in rows)
+        if total > 0:
+            for r in rows:
+                r.share = r.score / total
     return out

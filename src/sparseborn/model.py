@@ -8,7 +8,8 @@ evaluated with the accumulation kernels.  The prediction rule is
     X_i = | sum_j exp(i(theta_j - phi_ij)) * Ht_j^h * Ct_ij^p * X_j^p |^(1/p)
 
 normalized over targets, with the policy's contraction chain applied
-whenever every X_i is zero.
+whenever every X_i is zero.  A prediction, its contributions and its local
+explanations all read the same addends of the same level (:meth:`Model.walk`).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -161,31 +162,72 @@ def weight_tensor(corpus: SparseCounts, b: float) -> Dict[Tuple[Index, Index], f
     }
 
 
+@dataclass(eq=False, slots=True)
 class _LevelTable:
     """Column-grouped derived weights for one contraction level."""
 
-    __slots__ = (
-        "keep",
-        "target_ids",
-        "feat_ids",
-        "feat_pos",
-        "col_ptr",
-        "rows",
-        "amp",
-        "phi",
-        "entropy",
-    )
+    keep: FrozenSet[int]
+    target_ids: List[Index]
+    feat_ids: List[Index]
+    feat_pos: Dict[Index, int]
+    col_ptr: np.ndarray
+    rows: np.ndarray
+    amp: np.ndarray
+    phi: np.ndarray | None
+    entropy: np.ndarray
 
-    def __init__(self, keep, target_ids, feat_ids, feat_pos, col_ptr, rows, amp, phi, entropy):
-        self.keep = keep
-        self.target_ids = target_ids
-        self.feat_ids = feat_ids
-        self.feat_pos = feat_pos
-        self.col_ptr = col_ptr
-        self.rows = rows
-        self.amp = amp
-        self.phi = phi
-        self.entropy = entropy
+
+class _Level(NamedTuple):
+    """One query evaluated against one level table.
+
+    ``magnitudes`` holds X_i for each of the table's targets and ``total``
+    their sum; :meth:`addends` lists the terms that the kernel summed.
+    """
+
+    table: _LevelTable
+    qcols: np.ndarray
+    qpow: np.ndarray
+    qtheta: np.ndarray | None
+    magnitudes: np.ndarray
+    total: float
+
+    @property
+    def kept(self) -> Tuple[int, ...]:
+        return tuple(sorted(self.table.keep))
+
+    def distribution(self) -> Dict[Index, float]:
+        return dict(zip(self.table.target_ids, (self.magnitudes / self.total).tolist()))
+
+    def top(self) -> Index:
+        """The most probable target; ties go to the smaller multi-index."""
+        probs = (self.magnitudes / self.total).tolist()
+        return self.table.target_ids[probs.index(max(probs))]
+
+    def addends(self):
+        """(query position, target row, modulus, angle) of every addend.
+
+        One entry per stored cell of every query column, in (column, row)
+        order: modulus ``amp[k] * qpow[q]`` and angle ``theta[q] - phi[k]``.
+        """
+        table = self.table
+        lo = table.col_ptr[self.qcols]
+        lengths = table.col_ptr[self.qcols + 1] - lo
+        query = np.repeat(np.arange(len(self.qcols)), lengths)
+        entry = np.arange(len(query)) + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+        angle = self.qtheta[query] if self.qtheta is not None else np.zeros(len(entry))
+        if table.phi is not None:
+            angle = angle - table.phi[entry]
+        return query, table.rows[entry], table.amp[entry] * self.qpow[query], angle
+
+    def contributions(self) -> Dict[Tuple[Index, Index], Tuple[float, float]]:
+        query, rows, modulus, angle = self.addends()
+        target_ids, feat_ids = self.table.target_ids, self.table.feat_ids
+        return {
+            (target_ids[r], feat_ids[c]): (m, a)
+            for r, c, m, a in zip(
+                rows.tolist(), self.qcols[query].tolist(), modulus.tolist(), angle.tolist()
+            )
+        }
 
 
 @dataclass
@@ -234,6 +276,7 @@ class Model:
         self.policy = policy or Policy.default(vocab.n_feature_dims)
         if self.policy.n_dims != vocab.n_feature_dims:
             raise ShapeError("policy dimension count does not match vocabulary")
+        self._vocab_shape = vocab.shape()  # as of the last successful update
         self._tables: Dict[FrozenSet[int], _LevelTable] = {}
         self._marginal: Dict[Index, float] | None = None
         self._prior: Dict[Index, float] | None = None
@@ -250,14 +293,19 @@ class Model:
         self._marginal = None
         self._prior = None
 
-    def _check_query(self, obs: EncodedObservation) -> None:
-        if obs.n_feature_dims != self.n_feature_dims:
+    def _check_dim_count(self, obs: EncodedObservation) -> None:
+        if len(obs.feature_weights) != len(self.vocab.feature_dims):
             raise ShapeError(
                 f"query has {obs.n_feature_dims} feature dimensions, "
                 f"model has {self.n_feature_dims}"
             )
+
+    def _check_query(self, obs: EncodedObservation, sizes: Sequence[int] | None = None) -> None:
+        """Reject a query of the wrong shape or with an index outside
+        ``sizes`` (per feature dimension; the vocabulary's sizes by default)."""
+        self._check_dim_count(obs)
         for d, dim_map in enumerate(obs.feature_weights):
-            size = len(self.vocab.feature_dims[d])
+            size = sizes[d] if sizes else len(self.vocab.feature_dims[d])
             for idx in dim_map:
                 if not 0 <= idx < size:
                     raise ShapeError(
@@ -353,20 +401,22 @@ class Model:
                 qtheta = None
         return qcols, qvals, qtheta
 
-    def _evaluate(self, table: _LevelTable, qcols, qpow, qtheta):
-        """Magnitudes X_i over the table's targets for one query."""
+    def _level(self, obs: EncodedObservation, keep: FrozenSet[int]) -> _Level | None:
+        """The prediction rule at one contraction level; None when degenerate."""
+        table = self._table(keep)
+        arrays = self._query_arrays(obs, keep, table)
+        if arrays is None:
+            return None
+        qcols, qvals, qtheta = arrays
+        qpow = qvals ** self.hyper.p
         n = len(table.target_ids)
         if table.phi is None and qtheta is None:
             acc = np.zeros(n)
             _kernels.accum_real(table.col_ptr, table.rows, table.amp, qcols, qpow, acc)
             modulus = np.abs(acc)
         else:
-            phi = table.phi
-            if phi is None:
-                phi = np.zeros_like(table.amp)
-            theta = qtheta
-            if theta is None:
-                theta = np.zeros_like(qpow)
+            phi = table.phi if table.phi is not None else np.zeros_like(table.amp)
+            theta = qtheta if qtheta is not None else np.zeros_like(qpow)
             acc_re = np.zeros(n)
             acc_im = np.zeros(n)
             _kernels.accum_complex(
@@ -374,78 +424,56 @@ class Model:
                 acc_re, acc_im,
             )
             modulus = np.hypot(acc_re, acc_im)
-        return modulus ** (1.0 / self.hyper.p)
+        magnitudes = modulus ** (1.0 / self.hyper.p)
+        total = float(magnitudes.sum())
+        if total < DEGENERATE_EPS:
+            return None
+        return _Level(table, qcols, qpow, qtheta, magnitudes, total)
 
-    def _predict_internal(self, obs: EncodedObservation):
-        """Walk the policy until a nonzero estimate emerges.
+    def walk(self, obs: EncodedObservation) -> Tuple[int, _Level | None]:
+        """Follow the policy to the first nondegenerate level.
 
-        Returns (distribution, magnitudes, depth, kept, detail) where detail
-        carries the level table and query arrays for contribution building,
-        or None at the terminal step.
+        Returns the fallback depth and that level, whose addends are the
+        prediction's evidence, or None for the level when the walk reaches
+        the terminal (empty) step.  Every prediction and local explanation
+        reads this one walk.
         """
         self._check_query(obs)
         for depth, keep in enumerate(self.policy.steps):
             if not keep:
-                dist = dict(self.target_prior())
-                return dist, dict(self.target_marginal()), depth, (), None
-            table = self._table(keep)
-            arrays = self._query_arrays(obs, keep, table)
-            if arrays is None:
-                continue
-            qcols, qvals, qtheta = arrays
-            qpow = qvals ** self.hyper.p
-            magnitudes = self._evaluate(table, qcols, qpow, qtheta)
-            total = float(magnitudes.sum())
-            if total < DEGENERATE_EPS:
-                continue
-            dist = {
-                t: float(magnitudes[r] / total) for r, t in enumerate(table.target_ids)
-            }
-            mags = {t: float(magnitudes[r]) for r, t in enumerate(table.target_ids)}
-            detail = (table, qcols, qpow, qtheta)
-            return dist, mags, depth, tuple(sorted(keep)), detail
+                return depth, None
+            level = self._level(obs, keep)
+            if level is not None:
+                return depth, level
         raise AssertionError("policy terminal step did not produce a distribution")
 
     def predict(self, obs: EncodedObservation, with_contributions: bool = True) -> Prediction:
         """Evaluate the prediction rule with fallback for one query."""
-        dist, mags, depth, kept, detail = self._predict_internal(obs)
-        contributions: Dict[Tuple[Index, Index], Tuple[float, float]] = {}
-        if with_contributions and detail is not None:
-            table, qcols, qpow, qtheta = detail
-            col_ptr, rows, amp, phi = table.col_ptr, table.rows, table.amp, table.phi
-            for q in range(len(qcols)):
-                col = int(qcols[q])
-                theta = float(qtheta[q]) if qtheta is not None else 0.0
-                feat = table.feat_ids[col]
-                for k in range(col_ptr[col], col_ptr[col + 1]):
-                    angle = theta - (float(phi[k]) if phi is not None else 0.0)
-                    key = (table.target_ids[rows[k]], feat)
-                    contributions[key] = (float(amp[k] * qpow[q]), angle)
-        return Prediction(dist, mags, contributions, depth, kept)
+        depth, level = self.walk(obs)
+        if level is None:
+            prior, marginal = dict(self.target_prior()), dict(self.target_marginal())
+            return Prediction(prior, marginal, {}, depth, ())
+        magnitudes = dict(zip(level.table.target_ids, level.magnitudes.tolist()))
+        contributions = level.contributions() if with_contributions else {}
+        return Prediction(level.distribution(), magnitudes, contributions, depth, level.kept)
 
     def predict_labels(self, obs: EncodedObservation, k: int = 1) -> List[Tuple[str, ...]]:
         """Top-k decoded target tuples (multilabel when targets are multi-dimensional)."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        dist, _, _, _, _ = self._predict_internal(obs)
-        ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [self.vocab.decode_target(t) for t, _ in ranked[:k]]
+        ranked, _, _ = self.predict_batch([obs], k)[0]
+        return [self.vocab.decode_target(t) for t in ranked]
 
     def predict_at_dims(self, obs: EncodedObservation, dims: Iterable[int]):
-        """Distribution using only the given feature dimensions; None when degenerate."""
+        """Distribution using only the given feature dimensions; None when degenerate.
+
+        Only the query's dimension count is checked here; callers looping
+        over many levels check the query once with :meth:`_check_query`.
+        """
+        self._check_dim_count(obs)
         dims = frozenset(dims)
         if not dims:
             return dict(self.target_prior())
-        table = self._table(dims)
-        arrays = self._query_arrays(obs, dims, table)
-        if arrays is None:
-            return None
-        qcols, qvals, qtheta = arrays
-        magnitudes = self._evaluate(table, qcols, qvals ** self.hyper.p, qtheta)
-        total = float(magnitudes.sum())
-        if total < DEGENERATE_EPS:
-            return None
-        return {t: float(magnitudes[r] / total) for r, t in enumerate(table.target_ids)}
+        level = self._level(obs, dims)
+        return level.distribution() if level is not None else None
 
     def predict_batch(
         self,
@@ -460,10 +488,11 @@ class Model:
             for keep in self.policy.steps:
                 if keep:
                     self._table(keep)
-        self.target_prior()
+        prior = self.target_prior()
 
         def one(obs):
-            dist, _, depth, _, _ = self._predict_internal(obs)
+            depth, level = self.walk(obs)
+            dist = level.distribution() if level is not None else dict(prior)
             ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
             return [t for t, _ in ranked[:k]], dist, depth
 
@@ -480,12 +509,19 @@ class Model:
         """Accumulate new observations into the corpus and drop caches.
 
         All-or-nothing: the new counts are built in full before the corpus
-        changes, so a call that raises leaves the model as it was.
+        changes, so a call that raises leaves the model as it was, and the
+        vocabulary loses whatever was added to it (by ``encode(grow=True)``)
+        since the last successful update.
         """
         if observations:
             shape = self.corpus.target_dims, self.corpus.feature_dims
-            self.corpus.add_rows(*joint_rows(observations, *shape))
+            try:
+                self.corpus.add_rows(*joint_rows(observations, *shape))
+            except BaseException:
+                self.vocab.truncate(self._vocab_shape)
+                raise
             self._invalidate()
+        self._vocab_shape = self.vocab.shape()
         return self
 
     # -- persistence ---------------------------------------------------

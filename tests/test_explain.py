@@ -187,3 +187,19 @@ def test_aggregate_additive_over_disjoint_sets():
     for target, rows in merged.items():
         for r in rows:
             assert r.score == pytest.approx(summed[target][r.feature_index], rel=1e-12)
+
+
+def test_local_explanations_walk_the_policy_once():
+    rng = np.random.default_rng(44)
+    entries, n_targets, n_feats = random_matrix_corpus(rng)
+    model = make_model(entries, n_targets, [n_feats])
+    q = random_query(rng, n_feats)
+    if model.predict(query_obs(q)).fallback_depth:
+        pytest.skip("degenerate draw")
+    calls = []
+    query_arrays = model._query_arrays
+    model._query_arrays = lambda *args: calls.append(args) or query_arrays(*args)
+    explain_local(model, query_obs(q))
+    assert len(calls) == 1
+    aggregate_local(model, [query_obs(q), query_obs(q)])
+    assert len(calls) == 3

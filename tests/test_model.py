@@ -656,3 +656,43 @@ def test_batch_prediction_worker_invariance():
     serial = model.predict_batch(queries, k=2, workers=1)
     threaded = model.predict_batch(queries, k=2, workers=4)
     assert serial == threaded
+
+
+def test_failed_update_forgets_grown_vocabulary_and_saves_loadable_archive():
+    records = [
+        RawRecord(labels=[("label", "a")], features=[("token", "x", 1.0), ("token", "y", 2.0)]),
+        RawRecord(labels=[("label", "b")], features=[("token", "y", 1.0), ("token", "z", 3.0)]),
+    ]
+    vocab = Vocabulary()
+    model = fit(encode(records, vocab, grow=True), vocab)
+    queries = encode(records, model.vocab)
+    before_shape = model.vocab.shape()
+    before_vocab = [d.values[:] for d in model.vocab.target_dims + model.vocab.feature_dims]
+    cells = list(model.corpus.entries.items())
+    predictions = [model.predict(q).distribution for q in queries]
+    archive = io.StringIO()
+    model.save(archive)
+    # a second label dimension and a new token and label value
+    grown = RawRecord(
+        labels=[("label", "c"), ("topic", "t")], features=[("token", "w", 1.0)]
+    )
+    observations = encode([grown], model.vocab, grow=True)
+    assert model.vocab.n_target_dims == 2
+    with pytest.raises(SchemaError):
+        model.update(observations)
+    assert model.vocab.shape() == before_shape
+    assert [d.values for d in model.vocab.target_dims + model.vocab.feature_dims] == before_vocab
+    assert model.vocab.target_dim("topic") is None
+    assert model.vocab.feature_dims[0].encode("w") is None
+    assert model.vocab.target_dims[0].encode("c") is None
+    assert list(model.corpus.entries.items()) == cells
+    assert [model.predict(q).distribution for q in queries] == predictions
+    after = io.StringIO()
+    model.save(after)
+    assert after.getvalue() == archive.getvalue()
+    reloaded = load(io.StringIO(after.getvalue()))
+    assert [reloaded.predict(q).distribution for q in queries] == predictions
+    # the vocabulary still grows normally afterwards
+    more = RawRecord(labels=[("label", "c")], features=[("token", "w", 1.0)])
+    model.update(encode([more], model.vocab, grow=True))
+    assert model.vocab.shape() == ((3,), (4,))

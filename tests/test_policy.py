@@ -153,3 +153,18 @@ def test_learn_policy_deterministic_and_monotone():
     assert r1.path == r2.path and r1.explored == r2.explored
     values = [v for _, v in r1.path]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_learn_policy_rejects_validation_with_wrong_dimension_count():
+    model = make_model({((0,), (0,)): 1.0, ((1,), (1,)): 1.0}, 2, [2])
+    two_dims = EncodedObservation(label_weights=({0: 1.0},), feature_weights=({0: 1.0}, {0: 1.0}))
+    with pytest.raises(ShapeError):
+        learn_policy(model, [labeled_obs(0, {(0,): 1.0}), two_dims])
+    with pytest.raises(ShapeError):
+        model.predict_at_dims(two_dims, {0})
+
+
+def test_learn_policy_rejects_out_of_range_feature_index():
+    model = make_model({((0,), (0,)): 1.0, ((1,), (1,)): 1.0}, 2, [2])
+    with pytest.raises(ShapeError):
+        learn_policy(model, [labeled_obs(0, {(0,): 1.0}), labeled_obs(1, {(7,): 1.0})])
