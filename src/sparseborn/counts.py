@@ -11,13 +11,12 @@ The n nonzeros are coalesced arrays: an int64 key matrix of shape
 insertion order and each weight is the left-to-right sum, in arrival order,
 of everything added to its cell: bitwise what a dict keyed by
 ``(target, feature)`` holds, in its iteration order.  The arrays are
-read-only and replaced on every change; single :meth:`SparseCounts.add`
-calls are buffered and folded in on the next read.
+read-only and replaced on every change, which :meth:`SparseCounts.add_rows`
+alone makes; reads never change them.
 """
 from __future__ import annotations
 
 import math
-import operator
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
@@ -97,7 +96,7 @@ class SparseCounts:
     prediction time.
     """
 
-    __slots__ = ("target_dims", "feature_dims", "_keys", "_weights", "_pending")
+    __slots__ = ("target_dims", "feature_dims", "_keys", "_weights")
 
     def __init__(
         self,
@@ -110,11 +109,11 @@ class SparseCounts:
         self.target_dims = int(target_dims)
         self.feature_dims = int(feature_dims)
         self._set(np.empty((0, self.target_dims + self.feature_dims), dtype=np.int64), np.empty(0))
-        self._pending: list = []
         if entries is not None:
-            items = entries.items() if isinstance(entries, Mapping) else entries
-            for (tgt, feat), weight in items:
-                self.add(tgt, feat, weight)
+            items = list(entries.items() if isinstance(entries, Mapping) else entries)
+            for (tgt, feat), _ in items:
+                self._check_key(tgt, feat)
+            self.add_rows([tuple(t) + tuple(f) for (t, f), _ in items], [w for _, w in items])
 
     @classmethod
     def from_cells(cls, target_dims: int, feature_dims: int, cells) -> "SparseCounts":
@@ -144,7 +143,7 @@ class SparseCounts:
     @classmethod
     def _of(cls, target_dims: int, feature_dims: int, keys, weights) -> "SparseCounts":
         out = cls.__new__(cls)  # wraps arrays that are already coalesced
-        out.target_dims, out.feature_dims, out._pending = int(target_dims), int(feature_dims), []
+        out.target_dims, out.feature_dims = int(target_dims), int(feature_dims)
         out._set(keys, weights)
         return out
 
@@ -153,29 +152,22 @@ class SparseCounts:
         weights.setflags(write=False)
         self._keys, self._weights = keys, weights
 
-    def _arrays(self):
-        """The coalesced (keys, weights), folding in any pending single adds."""
-        if self._pending:
-            pending, self._pending = self._pending, []
-            self.add_rows([key for key, _ in pending], [w for _, w in pending])
-        return self._keys, self._weights
-
     @property
     def keys(self) -> np.ndarray:
         """The (n, target_dims + feature_dims) key matrix: target, then feature coordinates."""
-        return self._arrays()[0]
+        return self._keys
 
     @property
     def targets(self) -> np.ndarray:
-        return self._arrays()[0][:, : self.target_dims]
+        return self._keys[:, : self.target_dims]
 
     @property
     def features(self) -> np.ndarray:
-        return self._arrays()[0][:, self.target_dims :]
+        return self._keys[:, self.target_dims :]
 
     @property
     def weights(self) -> np.ndarray:
-        return self._arrays()[1]
+        return self._weights
 
     @property
     def entries(self) -> Mapping[Key, float]:
@@ -193,11 +185,7 @@ class SparseCounts:
     def add(self, tgt: Index, feat: Index, weight: float) -> None:
         """Accumulate ``weight`` at one cell; a zero weight stores nothing."""
         self._check_key(tgt, feat)
-        if not (weight >= 0 and math.isfinite(weight)):
-            raise ValueError("weights must be finite and nonnegative")
-        if weight != 0:
-            key = tuple(map(operator.index, tgt)) + tuple(map(operator.index, feat))
-            self._pending.append((key, float(weight)))
+        self.add_rows([tuple(tgt) + tuple(feat)], [weight])
 
     def add_rows(self, keys, weights) -> "SparseCounts":
         """Bitwise the same as one :meth:`add` per row, in row order, but all-or-nothing.
@@ -215,8 +203,8 @@ class SparseCounts:
                 raise ValueError("weights must be finite and nonnegative")
             if low == 0:
                 keys, weights = keys[weights != 0], weights[weights != 0]
-            old_keys, old_weights = self._arrays()
-            keys, weights = np.concatenate([old_keys, keys]), np.concatenate([old_weights, weights])
+            keys = np.concatenate([self._keys, keys])
+            weights = np.concatenate([self._weights, weights])
             self._set(*_coalesce(keys, weights))
         return self
 
@@ -246,7 +234,7 @@ class SparseCounts:
         )
 
     def copy(self) -> "SparseCounts":
-        return SparseCounts._of(self.target_dims, self.feature_dims, *self._arrays())
+        return SparseCounts._of(self.target_dims, self.feature_dims, self._keys, self._weights)
 
     def iadd(self, other: "SparseCounts") -> "SparseCounts":
         """In-place entrywise accumulation; see :func:`accumulate`."""
@@ -255,7 +243,7 @@ class SparseCounts:
                 f"cannot accumulate ({other.target_dims},{other.feature_dims}) "
                 f"into ({self.target_dims},{self.feature_dims})"
             )
-        return self.add_rows(*other._arrays())
+        return self.add_rows(other._keys, other._weights)
 
     def contract_feature_dim(self, k: int) -> "SparseCounts":
         """Sum out feature dimension ``k``, preserving total weight."""
@@ -271,13 +259,12 @@ class SparseCounts:
         for d in kept:
             if not 0 <= d < self.feature_dims:
                 raise ShapeError(f"feature dimension {d} out of range")
-        keys, weights = self._arrays()
         columns = list(range(self.target_dims)) + [self.target_dims + d for d in kept]
-        return SparseCounts._of(self.target_dims, len(kept), *_coalesce(keys[:, columns], weights))
+        cells = _coalesce(self._keys[:, columns], self._weights)
+        return SparseCounts._of(self.target_dims, len(kept), *cells)
 
     def _marginal(self, columns: Sequence[int] | slice) -> Dict[Index, float]:
-        keys, weights = self._arrays()
-        cells, totals = _coalesce(keys[:, columns], weights)
+        cells, totals = _coalesce(self._keys[:, columns], self._weights)
         return dict(zip(row_tuples(cells), totals.tolist()))
 
     def marginal_over_targets(self) -> Dict[Index, float]:

@@ -15,7 +15,7 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
-from .data import RawRecord, Vocabulary, encode
+from .data import EncodedObservation, RawRecord, Vocabulary, encode
 from .errors import InvalidRecordError
 from .model import Hyperparams, Model, fit
 
@@ -125,6 +125,10 @@ def score(predictions: Sequence[Hashable], truths: Sequence[Hashable]) -> Metric
     )
 
 
+# the MetricReport fields that MeanReport averages, in its field order
+_MEANS = ("weighted_precision", "weighted_recall", "weighted_f1", "macro_f1", "accuracy")
+
+
 @dataclass
 class MeanReport:
     """Across-run means of the headline metrics."""
@@ -179,21 +183,18 @@ def split_indices(n: int, test_fraction: float, rng: np.random.Generator):
     return perm[n_test:].tolist(), perm[:n_test].tolist()
 
 
-def _fit_records(
-    records: Sequence[RawRecord],
-    config: Hyperparams,
-    mode_normalize: bool,
-) -> Model:
+def _fit_counts(records: Sequence[RawRecord], normalize: bool) -> Model:
+    """Encode and fit the training records once; every config is a view over these counts."""
     vocab = Vocabulary()
-    observations = encode(records, vocab, grow=True, normalize=mode_normalize)
-    return fit(observations, vocab, hyper=config)
+    return fit(encode(records, vocab, grow=True, normalize=normalize), vocab)
 
 
-def _predict_records(
-    model: Model, records: Sequence[RawRecord], workers: int = 1
+def _predict_labels(
+    counts: Model, config: Hyperparams, queries: Sequence[EncodedObservation], workers: int
 ) -> List[Tuple[str, ...]]:
-    observations = encode(records, model.vocab, grow=False)
-    results = model.predict_batch(observations, k=1, workers=workers)
+    """Top label per query under ``config``, read from the fitted counts unchanged."""
+    model = Model(counts.corpus, counts.vocab, hyper=config)
+    results = model.predict_batch(queries, k=1, workers=workers)
     return [model.vocab.decode_target(ranked[0]) for ranked, _, _ in results]
 
 
@@ -221,11 +222,12 @@ def repeated_split_experiment(
     normalize: bool = False,
     workers: int = 1,
 ) -> ExperimentResult:
-    """Fit every config on each of ``n_runs`` seeded random splits and average.
+    """Score every config on each of ``n_runs`` seeded random splits and average.
 
-    Splits are not stratified; a run whose training split lacks some class
-    is kept.  Fixed seeds give bit-reproducible results regardless of
-    ``workers``.
+    Each split is encoded and fitted once; the configs only reweigh those
+    counts at prediction time.  Splits are not stratified; a run whose
+    training split lacks some class is kept.  Fixed seeds give
+    bit-reproducible results regardless of ``workers``.
     """
     if n_runs < 1:
         raise InvalidRecordError("n_runs must be >= 1")
@@ -240,46 +242,24 @@ def repeated_split_experiment(
             raise InvalidRecordError("degenerate split: empty train or test part")
     names = [name for name, _ in configs]
     per_run_f1: Dict[str, List[float]] = {name: [] for name in names}
-    sums: Dict[str, List[float]] = {name: [0.0] * 5 for name in names}
+    sums: Dict[str, List[float]] = {name: [0.0] * len(_MEANS) for name in names}
     label_dims = _label_dims(records)
     for train_idx, test_idx in splits:
-        train = [records[i] for i in train_idx]
+        counts = _fit_counts([records[i] for i in train_idx], normalize)
         test = [records[i] for i in test_idx]
+        queries = encode(test, counts.vocab, grow=False)
         truths = _truth_labels(test, label_dims)
         for name, config in configs:
-            model = _fit_records(train, config, normalize)
-            predictions = _predict_records(model, test, workers=workers)
-            report = score(predictions, truths)
+            report = score(_predict_labels(counts, config, queries, workers), truths)
             per_run_f1[name].append(report.weighted_f1)
-            acc = sums[name]
-            acc[0] += report.weighted_precision
-            acc[1] += report.weighted_recall
-            acc[2] += report.weighted_f1
-            acc[3] += report.macro_f1
-            acc[4] += report.accuracy
+            sums[name] = [s + getattr(report, attr) for s, attr in zip(sums[name], _MEANS)]
     means = {
-        name: MeanReport(
-            weighted_precision=sums[name][0] / n_runs,
-            weighted_recall=sums[name][1] / n_runs,
-            weighted_f1=sums[name][2] / n_runs,
-            macro_f1=sums[name][3] / n_runs,
-            accuracy=sums[name][4] / n_runs,
-            n_runs=n_runs,
-        )
-        for name in names
+        name: MeanReport(*(s / n_runs for s in sums[name]), n_runs=n_runs) for name in names
     }
-    matrix = []
-    for a in names:
-        row = []
-        for b in names:
-            if a == b:
-                row.append(0.0)
-            else:
-                wins = sum(
-                    1 for fa, fb in zip(per_run_f1[a], per_run_f1[b]) if fa > fb
-                )
-                row.append(wins / n_runs)
-        matrix.append(row)
+    matrix = [  # a config never beats itself, so the diagonal is 0
+        [sum(fa > fb for fa, fb in zip(per_run_f1[a], per_run_f1[b])) / n_runs for b in names]
+        for a in names
+    ]
     return ExperimentResult(
         configs=names,
         means=means,
@@ -300,9 +280,10 @@ def holdout_experiment(
         raise InvalidRecordError("train and test sets must both be nonempty")
     label_dims = _label_dims(train)
     t0 = time.perf_counter()
-    model = _fit_records(train, config, normalize)
+    counts = _fit_counts(train, normalize)
     t1 = time.perf_counter()
-    predictions = _predict_records(model, test, workers=workers)
+    queries = encode(test, counts.vocab, grow=False)
+    predictions = _predict_labels(counts, config, queries, workers)
     t2 = time.perf_counter()
     truths = _truth_labels(test, label_dims)
     report = score(predictions, truths)

@@ -10,6 +10,7 @@ evaluated with the accumulation kernels.  The prediction rule is
 normalized over targets, with the policy's contraction chain applied
 whenever every X_i is zero.  A prediction, its contributions and its local
 explanations all read the same addends of the same level (:meth:`Model.walk`).
+The counts do not depend on h, b or p: models that differ only in them can share one corpus.
 """
 from __future__ import annotations
 
@@ -78,12 +79,32 @@ class PhaseTable:
         return isinstance(other, PhaseTable) and self.entries == other.entries
 
 
-def _grouped_arrays(counts: SparseCounts):
-    """Sort the entries by (feature, target) and rank both.
+class _Weights(NamedTuple):
+    """The entries of one count tensor, grouped by column and weighed."""
+
+    target_ids: List[Index]
+    feat_ids: List[Index]
+    rows: np.ndarray
+    cols: np.ndarray
+    col_ptr: np.ndarray
+    entropy: np.ndarray
+    ct: np.ndarray
+
+
+def _derive_weights(counts: SparseCounts, b: float, n_targets: int | None = None) -> _Weights:
+    """Sort the entries by (feature, target) and derive both weights from their marginals.
 
     Rows and columns are the ranks of the target and feature multi-indices
     in sorted order; ``col_ptr`` delimits each column's run of entries.
+    ``entropy`` is each column's 1 - H/H_max on the artificially balanced
+    corpus: the balanced joint divides each entry by its target's total,
+    the conditional renormalizes per column, and H_max = ln(n_targets)
+    (the number of observed targets when None; at most one target makes
+    every feature perfect signal).  ``ct`` is each entry's
+    C / (colsum^(1-b) * rowsum^b).
     """
+    if not len(counts):
+        raise InvalidRecordError("cannot derive weights from an empty corpus")
     first_target, rows = rank_rows(counts.targets)
     order = np.lexsort((rows, *counts.features.T[::-1]))
     feats = counts.features[order]
@@ -91,40 +112,26 @@ def _grouped_arrays(counts: SparseCounts):
     col_ptr = np.append(np.flatnonzero(new_col), len(feats))
     target_ids, feat_ids = row_tuples(counts.targets[first_target]), row_tuples(feats[new_col])
     rows, cols = rows[order].astype(np.int32), np.cumsum(new_col) - 1
-    return target_ids, feat_ids, rows, cols, counts.weights[order], col_ptr
-
-
-def _marginals(rows, cols, weights, n_targets, n_feats):
-    row_sums = np.zeros(n_targets)
-    col_sums = np.zeros(n_feats)
+    weights = counts.weights[order]
+    row_sums = np.zeros(len(target_ids))
+    col_sums = np.zeros(len(feat_ids))
     np.add.at(row_sums, rows, weights)
     np.add.at(col_sums, cols, weights)
-    return row_sums, col_sums
-
-
-def _entropy_per_feature(rows, cols, weights, row_sums, n_feats, target_space):
-    """Per-column 1 - H/H_max on the artificially balanced corpus.
-
-    The balanced joint divides each entry by its target's total, the
-    conditional renormalizes per column, and H_max = ln(target_space).
-    A single-target corpus makes every feature perfect signal.
-    """
-    if target_space <= 1:
-        return np.ones(n_feats)
-    balanced = weights / row_sums[rows]
-    z = np.zeros(n_feats)
-    np.add.at(z, cols, balanced)
-    conditional = balanced / z[cols]
-    h_sum = np.zeros(n_feats)
-    np.add.at(h_sum, cols, conditional * np.log(conditional))
-    weights_out = 1.0 + h_sum / math.log(target_space)
-    np.clip(weights_out, 0.0, 1.0, out=weights_out)
-    return weights_out
-
-
-def _balanced_weights(weights, rows, cols, row_sums, col_sums, b):
-    """C / (colsum^(1-b) * rowsum^b) per stored entry."""
-    return weights / (col_sums[cols] ** (1.0 - b) * row_sums[rows] ** b)
+    if n_targets is None:
+        n_targets = len(target_ids)
+    if n_targets <= 1:
+        entropy = np.ones(len(feat_ids))
+    else:
+        balanced = weights / row_sums[rows]
+        z = np.zeros(len(feat_ids))
+        np.add.at(z, cols, balanced)
+        conditional = balanced / z[cols]
+        h_sum = np.zeros(len(feat_ids))
+        np.add.at(h_sum, cols, conditional * np.log(conditional))
+        entropy = 1.0 + h_sum / math.log(n_targets)
+        np.clip(entropy, 0.0, 1.0, out=entropy)
+    ct = weights / (col_sums[cols] ** (1.0 - b) * row_sums[rows] ** b)
+    return _Weights(target_ids, feat_ids, rows, cols, col_ptr, entropy, ct)
 
 
 def entropy_weights(corpus: SparseCounts, n_targets: int | None = None) -> Dict[Index, float]:
@@ -133,14 +140,8 @@ def entropy_weights(corpus: SparseCounts, n_targets: int | None = None) -> Dict[
     ``n_targets`` is the size of the target index space (H_max = ln of it);
     defaults to the number of distinct observed target multi-indices.
     """
-    if not len(corpus):
-        raise InvalidRecordError("corpus is empty")
-    target_ids, feat_ids, rows, cols, weights, _ = _grouped_arrays(corpus)
-    if n_targets is None:
-        n_targets = len(target_ids)
-    row_sums, _ = _marginals(rows, cols, weights, len(target_ids), len(feat_ids))
-    ht = _entropy_per_feature(rows, cols, weights, row_sums, len(feat_ids), n_targets)
-    return {f: float(ht[j]) for j, f in enumerate(feat_ids)}
+    derived = _derive_weights(corpus, 1.0, n_targets)  # b shapes only ct, unread here
+    return dict(zip(derived.feat_ids, derived.entropy.tolist()))
 
 
 def weight_tensor(corpus: SparseCounts, b: float) -> Dict[Tuple[Index, Index], float]:
@@ -153,9 +154,7 @@ def weight_tensor(corpus: SparseCounts, b: float) -> Dict[Tuple[Index, Index], f
         raise ValueError("b must be >= 0")
     if not len(corpus):
         return {}
-    target_ids, feat_ids, rows, cols, weights, _ = _grouped_arrays(corpus)
-    row_sums, col_sums = _marginals(rows, cols, weights, len(target_ids), len(feat_ids))
-    ct = _balanced_weights(weights, rows, cols, row_sums, col_sums, b)
+    target_ids, feat_ids, rows, cols, _, _, ct = _derive_weights(corpus, b)
     return {
         (target_ids[r], feat_ids[c]): w
         for r, c, w in zip(rows.tolist(), cols.tolist(), ct.tolist())
@@ -251,6 +250,13 @@ class Prediction:
         return ranked[:k]
 
 
+def _check_indices(keys: np.ndarray, shape: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> None:
+    """Reject count key rows with a coordinate outside a vocabulary of this shape."""
+    sizes = np.array(shape[0] + shape[1], dtype=np.int64)
+    if not ((keys >= 0) & (keys < sizes)).all():
+        raise ShapeError("corpus index outside the vocabulary")
+
+
 class Model:
     """A trained classifier: corpus, vocabulary, hyperparameters, phases, policy.
 
@@ -269,6 +275,8 @@ class Model:
     ):
         if corpus.target_dims != vocab.n_target_dims or corpus.feature_dims != vocab.n_feature_dims:
             raise ShapeError("corpus shape does not match vocabulary")
+        self._vocab_shape = vocab.shape()  # as of the last successful update
+        _check_indices(corpus.keys, self._vocab_shape)
         self.corpus = corpus
         self.vocab = vocab
         self.hyper = hyper or Hyperparams()
@@ -276,7 +284,6 @@ class Model:
         self.policy = policy or Policy.default(vocab.n_feature_dims)
         if self.policy.n_dims != vocab.n_feature_dims:
             raise ShapeError("policy dimension count does not match vocabulary")
-        self._vocab_shape = vocab.shape()  # as of the last successful update
         self._tables: Dict[FrozenSet[int], _LevelTable] = {}
         self._marginal: Dict[Index, float] | None = None
         self._prior: Dict[Index, float] | None = None
@@ -300,12 +307,11 @@ class Model:
                 f"model has {self.n_feature_dims}"
             )
 
-    def _check_query(self, obs: EncodedObservation, sizes: Sequence[int] | None = None) -> None:
-        """Reject a query of the wrong shape or with an index outside
-        ``sizes`` (per feature dimension; the vocabulary's sizes by default)."""
+    def _check_query(self, obs: EncodedObservation) -> None:
+        """Reject a query of the wrong shape or with an index outside the vocabulary."""
         self._check_dim_count(obs)
         for d, dim_map in enumerate(obs.feature_weights):
-            size = sizes[d] if sizes else len(self.vocab.feature_dims[d])
+            size = len(self.vocab.feature_dims[d])
             for idx in dim_map:
                 if not 0 <= idx < size:
                     raise ShapeError(
@@ -350,14 +356,9 @@ class Model:
     def _build_table(self, keep: FrozenSet[int]) -> _LevelTable:
         full = keep == frozenset(range(self.n_feature_dims))
         corpus = self.corpus if full else self.corpus.keep_feature_dims(keep)
-        if not len(corpus):
-            raise InvalidRecordError("cannot derive weights from an empty corpus")
-        target_ids, feat_ids, rows, cols, weights, col_ptr = _grouped_arrays(corpus)
-        row_sums, col_sums = _marginals(rows, cols, weights, len(target_ids), len(feat_ids))
-        entropy = _entropy_per_feature(
-            rows, cols, weights, row_sums, len(feat_ids), self.vocab.target_space_size()
+        target_ids, feat_ids, rows, cols, col_ptr, entropy, ct = _derive_weights(
+            corpus, self.hyper.b, self.vocab.target_space_size()
         )
-        ct = _balanced_weights(weights, rows, cols, row_sums, col_sums, self.hyper.b)
         amp = entropy[cols] ** self.hyper.h * ct ** self.hyper.p
         phi = None
         if self.phases and full:
@@ -516,7 +517,9 @@ class Model:
         if observations:
             shape = self.corpus.target_dims, self.corpus.feature_dims
             try:
-                self.corpus.add_rows(*joint_rows(observations, *shape))
+                keys, weights = joint_rows(observations, *shape)
+                _check_indices(keys, self.vocab.shape())
+                self.corpus.add_rows(keys, weights)
             except BaseException:
                 self.vocab.truncate(self._vocab_shape)
                 raise
@@ -620,6 +623,6 @@ def load(source) -> Model:
             }
         )
         policy = Policy.from_lists(payload["policy"])
+        return Model(corpus, vocab, hyper=hyper, phases=phases, policy=policy)
     except (KeyError, TypeError, ValueError) as exc:
         raise ArchiveError(f"malformed model archive: {exc}") from exc
-    return Model(corpus, vocab, hyper=hyper, phases=phases, policy=policy)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from .data import EncodedObservation
 from .errors import InvalidRecordError, ShapeError
 
@@ -144,13 +142,10 @@ def learn_policy(
     """
     if not validation:
         raise InvalidRecordError("validation set is empty")
-    # predict_at_dims checks only the dimension count; indices are checked once
-    # here, against the vocabulary or the stored counts, whichever is longer
-    stored = model.corpus.features.max(axis=0, initial=-1) + 1
-    sizes = np.maximum(model.vocab.shape()[1], stored).tolist()
+    # predict_at_dims checks only the dimension count; indices are checked once here
     truths: List[Dict[Index, float]] = []
     for n, obs in enumerate(validation):
-        model._check_query(obs, sizes)
+        model._check_query(obs)
         dist = obs.target_distribution()
         if not dist:
             raise InvalidRecordError(f"validation record {n} has no labels")

@@ -30,8 +30,10 @@ def make_model(
     phases=None,
     policy=None,
 ) -> Model:
-    vocab = build_vocab(n_targets, feat_sizes)
     corpus = SparseCounts(1, len(feat_sizes), entries)
+    # a model's vocabulary covers its corpus, so size each feature dimension to both
+    stored = corpus.features.max(axis=0, initial=-1) + 1
+    vocab = build_vocab(n_targets, np.maximum(feat_sizes, stored).tolist())
     return Model(
         corpus,
         vocab,

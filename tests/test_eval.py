@@ -3,16 +3,20 @@ import numpy as np
 import pytest
 
 from oracle import brute_metrics
-from sparseborn.data import RawRecord
+import sparseborn.evaluate
+from sparseborn.data import RawRecord, Vocabulary, encode
 from sparseborn.errors import InvalidRecordError
 from sparseborn.evaluate import (
     DEFAULT_CONFIGS,
+    ExperimentResult,
+    MeanReport,
+    PairwiseTable,
     holdout_experiment,
     repeated_split_experiment,
     score,
     split_indices,
 )
-from sparseborn.model import Hyperparams
+from sparseborn.model import Hyperparams, fit
 
 
 def test_score_perfect():
@@ -147,3 +151,62 @@ def test_default_configs_are_standard():
     names = dict(DEFAULT_CONFIGS)
     assert names["quantum"] == Hyperparams(1.0, 1.0, 0.5)
     assert names["classic"] == Hyperparams(1.0, 0.0, 1.0)
+
+
+def refit_per_config(records, n_runs, test_fraction, configs, seed):
+    """The experiment as one fit per config and split, for reference."""
+    rng = np.random.default_rng(seed)
+    splits = [split_indices(len(records), test_fraction, rng) for _ in range(n_runs)]
+    names = [name for name, _ in configs]
+    reports = {name: [] for name in names}
+    for train_idx, test_idx in splits:
+        test = [records[i] for i in test_idx]
+        truths = [(rec.labels[0][1],) for rec in test]
+        for name, config in configs:
+            vocab = Vocabulary()
+            train = encode([records[i] for i in train_idx], vocab, grow=True)
+            model = fit(train, vocab, hyper=config)
+            ranked = model.predict_batch(encode(test, model.vocab, grow=False))
+            predictions = [model.vocab.decode_target(top[0]) for top, _, _ in ranked]
+            reports[name].append(score(predictions, truths))
+    means, f1 = {}, {}
+    for name in names:
+        runs = reports[name]
+        averages = []
+        for attr in ("weighted_precision", "weighted_recall", "weighted_f1", "macro_f1", "accuracy"):
+            total = 0.0
+            for report in runs:
+                total += getattr(report, attr)
+            averages.append(total / n_runs)
+        means[name] = MeanReport(*averages, n_runs=n_runs)
+        f1[name] = [report.weighted_f1 for report in runs]
+    matrix = [
+        [sum(fa > fb for fa, fb in zip(f1[a], f1[b])) / n_runs for b in names] for a in names
+    ]
+    return ExperimentResult(names, means, PairwiseTable(names, matrix), f1)
+
+
+def test_repeated_split_fits_each_split_once(monkeypatch):
+    rng = np.random.default_rng(58)
+    # overlapping classes, so the configs disagree on some runs
+    records = []
+    for _ in range(80):
+        c = int(rng.integers(0, 3))
+        tokens = [("f", f"t{int(t)}", 1.0) for t in rng.integers(c, c + 4, size=2)]
+        records.append(RawRecord(labels=[("class", f"c{c}")], features=tokens))
+    configs = [*DEFAULT_CONFIGS, ("born", Hyperparams(h=0.0, b=1.0, p=0.5))]
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(sparseborn.evaluate, "fit", counting_fit)
+    for n_configs in (1, 3):
+        calls.clear()
+        result = repeated_split_experiment(records, 6, 0.3, configs=configs[:n_configs], seed=4)
+        assert len(calls) == 6
+        expected = refit_per_config(records, 6, 0.3, configs[:n_configs], seed=4)
+        assert result.per_run_f1 == expected.per_run_f1
+        assert result.to_table() == expected.to_table()
+    assert result.per_run_f1["quantum"] != result.per_run_f1["classic"]

@@ -13,6 +13,7 @@ from sparseborn.data import EncodedObservation, Vocabulary, encode, RawRecord
 from sparseborn.errors import ArchiveError, InvalidRecordError, SchemaError, ShapeError
 from sparseborn.model import (
     Hyperparams,
+    Model,
     PhaseTable,
     entropy_weights,
     fit,
@@ -574,6 +575,27 @@ def test_load_sums_unsorted_and_repeated_cells():
     payload["corpus"][0][1] = [0.5]
     with pytest.raises(ArchiveError):
         load(io.StringIO(json.dumps(payload)))
+
+
+def test_corpus_indices_outside_vocabulary_rejected():
+    good = io.StringIO()
+    make_model({((0,), (0,)): 1.0, ((1,), (1,)): 2.0}, 2, [2]).save(good)
+    payload = json.loads(good.getvalue())
+    payload["corpus"].append([[5], [9], 1.0])
+    with pytest.raises(ArchiveError):
+        load(io.StringIO(json.dumps(payload)))
+    payload["corpus"][-1] = [[0], [-1], 1.0]
+    with pytest.raises(ArchiveError):
+        load(io.StringIO(json.dumps(payload)))
+    vocab = build_vocab(2, [2])
+    for key in (((2,), (0,)), ((0,), (2,))):
+        with pytest.raises(ShapeError):
+            Model(SparseCounts(1, 1, {key: 1.0}), vocab)
+    model = make_model({((0,), (0,)): 1.0, ((1,), (1,)): 2.0}, 2, [2])
+    cells = list(model.corpus.entries.items())
+    with pytest.raises(ShapeError):
+        model.update([labeled_obs(0, {(1,): 1.0}), labeled_obs(1, {(2,): 1.0})])
+    assert list(model.corpus.entries.items()) == cells
 
 
 # An archive written before the corpus was stored as arrays; the same inputs
