@@ -4,11 +4,10 @@ Generates a corpus with the shape of a large newsgroup-style problem
 (defaults: 20 classes, 180k vocabulary, ~11k train / ~7.5k test documents,
 zipf token frequencies with planted class-specific signal) and times the
 full pipeline: encode, fit, batch predict.  Timings are reported, never
-asserted; kernel backend is whatever the current environment selects.
+asserted.
 
 Usage:
     python benchmarks/bench_end_to_end.py [--train N] [--test N] [--vocab N]
-    SPARSEBORN_KERNEL=python python benchmarks/bench_end_to_end.py
 """
 from __future__ import annotations
 
@@ -46,11 +45,9 @@ def main():
     parser.add_argument("--train", type=int, default=11_314)
     parser.add_argument("--test", type=int, default=7_532)
     parser.add_argument("--doc-len", type=int, default=140)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    print(f"kernel backend: {sb.KERNEL_BACKEND}")
     t0 = time.perf_counter()
     train = make_records(args.train, args.classes, args.vocab, args.doc_len, args.seed)
     test = make_records(args.test, args.classes, args.vocab, args.doc_len, args.seed + 1)
@@ -63,7 +60,7 @@ def main():
     model = sb.fit(observations, vocab, hyper=sb.Hyperparams(1, 1, 0.5))
     t1 = time.perf_counter()
     queries = sb.encode(test, model.vocab, grow=False)
-    results = model.predict_batch(queries, k=1, workers=args.workers)
+    results = model.predict_batch(queries, k=1)
     t2 = time.perf_counter()
     predictions = [model.vocab.decode_target(ranked[0]) for ranked, _, _ in results]
     truths = [(rec.labels[0][1],) for rec in test]
@@ -75,7 +72,7 @@ def main():
     )
     print(
         f"encode+fit {t1 - t0:.2f}s   "
-        f"predict {t2 - t1:.2f}s ({args.workers} worker(s))   "
+        f"predict {t2 - t1:.2f}s   "
         f"accuracy {report.accuracy:.3f}   macro-F1 {report.macro_f1:.3f}"
     )
 

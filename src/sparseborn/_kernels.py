@@ -1,15 +1,19 @@
-"""Pure-Python (numpy) accumulation kernels.
+"""The accumulation kernels: numpy, one implementation.
 
-Mirrors the compiled backend's summation order (``np.add.at`` is
-unbuffered and applies updates in index order), so the real-path results
-are bitwise identical to the compiled loop.  The phase path uses numpy's
-vectorized cos/sin, which may differ from libm by an ulp or two on some
-inputs; within one backend results are still fully deterministic, and
-zero phases are exact (cos(0)=1, sin(0)=0) in both.
+Both kernels add the addends of the query's columns into per-target
+accumulators, column by column in query order and row by row within a
+column.  ``np.add.at`` is unbuffered and applies updates in index order,
+so the real path is bitwise identical to the naive nested loop.  The phase
+path uses numpy's vectorized cos/sin, which may differ from libm's scalar
+functions by an ulp or two on some inputs; results are still fully
+deterministic, and zero phases are exact (cos(0)=1, sin(0)=0).
 """
 from __future__ import annotations
 
 import numpy as np
+
+# Reported by benchmarks; there is no other backend.
+BACKEND = "python"
 
 
 def accum_real(col_ptr, rows, amp, qcols, qvals, acc):

@@ -94,7 +94,7 @@ def cmd_predict(args) -> int:
     model = load(args.model)
     records = _load_records(args.data, args)
     observations = data_mod.encode(records, model.vocab, grow=False)
-    results = model.predict_batch(observations, k=args.top_k, workers=args.workers)
+    results = model.predict_batch(observations, k=args.top_k)
     stream, owned = _out_stream(args.out)
     try:
         header = ["record", "fallback_depth"]
@@ -181,7 +181,7 @@ def cmd_evaluate(args) -> int:
             test = _load_records(args.test, args)
             config = Hyperparams(h=args.h, b=args.b, p=args.p)
             report, timing = eval_mod.holdout_experiment(
-                train, test, config, normalize=args.normalize, workers=args.workers
+                train, test, config, normalize=args.normalize
             )
             stream.write(report.to_table() + "\n")
             stream.write(
@@ -204,7 +204,6 @@ def cmd_evaluate(args) -> int:
                 configs=configs,
                 seed=args.seed,
                 normalize=args.normalize,
-                workers=args.workers,
             )
             stream.write(result.to_table() + "\n")
     finally:
@@ -225,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--model", required=True, help="output archive path")
     _add_data_flags(p_train)
     _add_hyper_flags(p_train)
-    p_train.add_argument("--seed", type=int, default=0, help="reserved; training is deterministic")
     p_train.set_defaults(func=cmd_train)
 
     p_pred = sub.add_parser("predict", help="rank targets for each record")
@@ -233,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--out", default=None, help="output path (default stdout)")
     p_pred.add_argument("--top-k", type=int, default=1)
-    p_pred.add_argument("--workers", type=int, default=1)
     _add_data_flags(p_pred)
     p_pred.set_defaults(func=cmd_predict)
 
@@ -265,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--test-fraction", type=float, default=0.3)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out", default=None)
-    p_eval.add_argument("--workers", type=int, default=1)
     p_eval.add_argument("--custom-config", action="store_true",
                         help="evaluate only the --h/--b/--p configuration")
     _add_data_flags(p_eval)
@@ -279,10 +275,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SparsebornError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SparsebornError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -361,6 +361,8 @@ def load_token_records(source) -> List[RawRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from exc
+            except RecursionError as exc:
+                raise ParseError("invalid JSON (nested too deeply)", line=lineno) from exc
             if not isinstance(obj, dict):
                 raise ParseError("record must be a JSON object", line=lineno)
             rec = RawRecord()
@@ -452,13 +454,18 @@ def encode(
                 )
         if grow and not rec.labels:
             raise InvalidRecordError(f"record {n}: training record has no label")
-        for dim_name, _ in rec.labels:
-            vocab.target_dim(dim_name, create=grow)
-        for dim_name, _, _ in rec.features:
-            vocab.feature_dim(dim_name, create=grow)
+        # each dimension name is resolved once per record, in first-seen order
+        target_of: Dict[str, int | None] = {}
+        for name, _ in rec.labels:
+            if name not in target_of:
+                target_of[name] = vocab.target_dim(name, create=grow)
+        feature_of: Dict[str, int | None] = {}
+        for name, _, _ in rec.features:
+            if name not in feature_of:
+                feature_of[name] = vocab.feature_dim(name, create=grow)
         label_maps: List[Dict[int, float]] = [{} for _ in vocab.target_dims]
         for dim_name, value in rec.labels:
-            d = vocab.target_dim(dim_name)
+            d = target_of[dim_name]
             if d is None:
                 continue
             idx = vocab.target_dims[d].encode(value, grow=grow)
@@ -469,7 +476,7 @@ def encode(
             raise InvalidRecordError(f"record {n}: no encodable label")
         feature_maps: List[Dict[int, float]] = [{} for _ in vocab.feature_dims]
         for dim_name, token, mult in rec.features:
-            d = vocab.feature_dim(dim_name)
+            d = feature_of[dim_name]
             if d is None:
                 continue
             idx = vocab.feature_dims[d].encode(token, grow=grow)

@@ -190,11 +190,11 @@ def _fit_counts(records: Sequence[RawRecord], normalize: bool) -> Model:
 
 
 def _predict_labels(
-    counts: Model, config: Hyperparams, queries: Sequence[EncodedObservation], workers: int
+    counts: Model, config: Hyperparams, queries: Sequence[EncodedObservation]
 ) -> List[Tuple[str, ...]]:
     """Top label per query under ``config``, read from the fitted counts unchanged."""
     model = Model(counts.corpus, counts.vocab, hyper=config)
-    results = model.predict_batch(queries, k=1, workers=workers)
+    results = model.predict_batch(queries, k=1)
     return [model.vocab.decode_target(ranked[0]) for ranked, _, _ in results]
 
 
@@ -220,14 +220,13 @@ def repeated_split_experiment(
     configs: Sequence[Tuple[str, Hyperparams]] = DEFAULT_CONFIGS,
     seed: int = 0,
     normalize: bool = False,
-    workers: int = 1,
 ) -> ExperimentResult:
     """Score every config on each of ``n_runs`` seeded random splits and average.
 
     Each split is encoded and fitted once; the configs only reweigh those
     counts at prediction time.  Splits are not stratified; a run whose
     training split lacks some class is kept.  Fixed seeds give
-    bit-reproducible results regardless of ``workers``.
+    bit-reproducible results.
     """
     if n_runs < 1:
         raise InvalidRecordError("n_runs must be >= 1")
@@ -250,7 +249,7 @@ def repeated_split_experiment(
         queries = encode(test, counts.vocab, grow=False)
         truths = _truth_labels(test, label_dims)
         for name, config in configs:
-            report = score(_predict_labels(counts, config, queries, workers), truths)
+            report = score(_predict_labels(counts, config, queries), truths)
             per_run_f1[name].append(report.weighted_f1)
             sums[name] = [s + getattr(report, attr) for s, attr in zip(sums[name], _MEANS)]
     means = {
@@ -273,7 +272,6 @@ def holdout_experiment(
     test: Sequence[RawRecord],
     config: Hyperparams = Hyperparams(),
     normalize: bool = False,
-    workers: int = 1,
 ) -> Tuple[MetricReport, Dict[str, float]]:
     """Single fit on ``train`` scored on ``test``; wall-clock times reported."""
     if not train or not test:
@@ -283,7 +281,7 @@ def holdout_experiment(
     counts = _fit_counts(train, normalize)
     t1 = time.perf_counter()
     queries = encode(test, counts.vocab, grow=False)
-    predictions = _predict_labels(counts, config, queries, workers)
+    predictions = _predict_labels(counts, config, queries)
     t2 = time.perf_counter()
     truths = _truth_labels(test, label_dims)
     report = score(predictions, truths)

@@ -477,32 +477,19 @@ class Model:
         return level.distribution() if level is not None else None
 
     def predict_batch(
-        self,
-        queries: Sequence[EncodedObservation],
-        k: int = 1,
-        workers: int = 1,
+        self, queries: Sequence[EncodedObservation], k: int = 1
     ) -> List[Tuple[List[Index], Dict[Index, float], int]]:
-        """Rank targets for many queries; output is independent of worker count."""
+        """(top-k targets, distribution, fallback depth) for each query."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        if workers > 1:  # warm every policy level once so worker threads only read
-            for keep in self.policy.steps:
-                if keep:
-                    self._table(keep)
         prior = self.target_prior()
-
-        def one(obs):
+        results = []
+        for obs in queries:
             depth, level = self.walk(obs)
             dist = level.distribution() if level is not None else dict(prior)
             ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
-            return [t for t, _ in ranked[:k]], dist, depth
-
-        if workers <= 1 or len(queries) < 2:
-            return [one(q) for q in queries]
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, queries))
+            results.append(([t for t, _ in ranked[:k]], dist, depth))
+        return results
 
     # -- training ------------------------------------------------------
 
@@ -596,7 +583,7 @@ def load(source) -> Model:
                 payload = json.loads(fh.read())
         else:
             payload = json.load(source)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ArchiveError(f"cannot read model archive: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != ARCHIVE_FORMAT:
         raise ArchiveError("not a sparseborn model archive")

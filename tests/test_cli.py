@@ -186,16 +186,13 @@ def test_evaluate_invalid_runs(zoo_csv, capsys):
     assert code != 0 and err.startswith("error:")
 
 
-def test_predict_worker_invariance(zoo_csv, tmp_path, capsys):
+def test_invalid_arguments_fail_with_one_line_error(zoo_csv, tmp_path, capsys):
     model = str(tmp_path / "model.json")
     run(capsys, "train", "--data", zoo_csv, "--targets", "class", "--model", model)
-    outs = []
-    for workers in ("1", "4"):
-        out_path = tmp_path / f"pred{workers}.tsv"
-        code, _, err = run(
-            capsys, "predict", "--data", zoo_csv, "--targets", "class",
-            "--model", model, "--out", str(out_path), "--workers", workers,
-        )
-        assert code == 0, err
-        outs.append(out_path.read_text())
-    assert outs[0] == outs[1]
+    for argv in (
+        ["predict", "--data", zoo_csv, "--targets", "class", "--model", model, "--top-k", "0"],
+        ["train", "--data", zoo_csv, "--targets", "class", "--model", model, "--h", "-1"],
+        ["explain", "--model", model, "--explain-mode", "discriminative", "--top-k", "0"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1, (argv, err)

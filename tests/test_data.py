@@ -123,6 +123,14 @@ def test_load_token_records_errors():
         load_token_records(io.StringIO(json.dumps({"tokens": {"a": 0}})))
 
 
+def test_load_token_records_rejects_deeply_nested_json():
+    nested = "[" * 100_000 + '"a"' + "]" * 100_000
+    lines = '{"tokens": ["a"]}\n{"tokens": ' + nested + "}\n"
+    with pytest.raises(ParseError) as err:
+        load_token_records(io.StringIO(lines))
+    assert err.value.line == 2
+
+
 def test_load_text_tree(tmp_path):
     (tmp_path / "sport").mkdir()
     (tmp_path / "sport" / "001").write_text("game game team", encoding="latin-1")

@@ -1,26 +1,16 @@
-"""Backend equivalence: compiled kernels vs the numpy fallback.
+"""The numpy accumulation kernels against a deliberately naive loop.
 
-A third, deliberately naive pure-Python loop serves as the reference.  The
-real path is bitwise identical everywhere (same multiplication and
-summation order).  The phase path is bitwise identical between the naive
-loop and the compiled kernel (both use libm's scalar cos/sin); the numpy
-backend's vectorized cos/sin may differ by an ulp or two, so it is checked
-to a tight tolerance instead.  Zero phases are exact in every backend.
+The real path is bitwise identical to the loop (same multiplication and
+summation order).  The phase path uses numpy's vectorized cos/sin, which
+may differ from the loop's scalar ``math.cos``/``math.sin`` by an ulp or
+two, so it is checked to a tight tolerance instead.  Zero phases are
+exact.
 """
-import importlib
 import math
 
 import numpy as np
-import pytest
 
-from sparseborn._kernels import _python
-
-try:
-    from sparseborn._kernels import _native
-except ImportError:  # pragma: no cover - build-dependent
-    _native = None
-
-BACKENDS = [("python", _python)] + ([("native", _native)] if _native else [])
+from sparseborn import _kernels
 
 
 def reference_real(col_ptr, rows, amp, qcols, qvals, acc):
@@ -60,20 +50,18 @@ def random_instance(rng, n_targets=8, n_feats=30):
     return n_targets, col_ptr, rows, amp, phi, qcols, qvals, qtheta
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_real_matches_reference_bitwise(name, impl):
+def test_real_matches_reference_bitwise():
     rng = np.random.default_rng(61)
     for _ in range(25):
         n, col_ptr, rows, amp, _, qcols, qvals, _ = random_instance(rng)
         expected = np.zeros(n)
         reference_real(col_ptr, rows, amp, qcols, qvals, expected)
         acc = np.zeros(n)
-        impl.accum_real(col_ptr, rows, amp, qcols, qvals, acc)
+        _kernels.accum_real(col_ptr, rows, amp, qcols, qvals, acc)
         assert np.array_equal(acc, expected)
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_complex_matches_reference(name, impl):
+def test_complex_matches_reference():
     rng = np.random.default_rng(62)
     for _ in range(25):
         n, col_ptr, rows, amp, phi, qcols, qvals, qtheta = random_instance(rng)
@@ -82,26 +70,20 @@ def test_complex_matches_reference(name, impl):
         reference_complex(col_ptr, rows, amp, phi, qcols, qvals, qtheta, exp_re, exp_im)
         acc_re = np.zeros(n)
         acc_im = np.zeros(n)
-        impl.accum_complex(col_ptr, rows, amp, phi, qcols, qvals, qtheta, acc_re, acc_im)
-        if name == "native":
-            # same libm cos/sin as the reference loop: exact
-            assert np.array_equal(acc_re, exp_re)
-            assert np.array_equal(acc_im, exp_im)
-        else:
-            np.testing.assert_allclose(acc_re, exp_re, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(acc_im, exp_im, rtol=1e-12, atol=1e-12)
+        _kernels.accum_complex(col_ptr, rows, amp, phi, qcols, qvals, qtheta, acc_re, acc_im)
+        np.testing.assert_allclose(acc_re, exp_re, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(acc_im, exp_im, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_zero_phase_complex_equals_real_bitwise(name, impl):
+def test_zero_phase_complex_equals_real_bitwise():
     rng = np.random.default_rng(63)
     for _ in range(25):
         n, col_ptr, rows, amp, _, qcols, qvals, _ = random_instance(rng)
         real = np.zeros(n)
-        impl.accum_real(col_ptr, rows, amp, qcols, qvals, real)
+        _kernels.accum_real(col_ptr, rows, amp, qcols, qvals, real)
         acc_re = np.zeros(n)
         acc_im = np.zeros(n)
-        impl.accum_complex(
+        _kernels.accum_complex(
             col_ptr, rows, amp, np.zeros_like(amp), qcols, qvals,
             np.zeros_like(qvals), acc_re, acc_im,
         )
@@ -110,18 +92,3 @@ def test_zero_phase_complex_equals_real_bitwise(name, impl):
         # the modulus path is also exact: hypot(x, 0) == |x|
         assert np.array_equal(np.hypot(acc_re, acc_im), np.abs(real))
 
-
-def test_backend_selection_env(monkeypatch):
-    import sparseborn._kernels as kernels
-
-    monkeypatch.setenv("SPARSEBORN_KERNEL", "python")
-    reloaded = importlib.reload(kernels)
-    assert reloaded.BACKEND == "python"
-    monkeypatch.delenv("SPARSEBORN_KERNEL")
-    reloaded = importlib.reload(kernels)
-    assert reloaded.BACKEND in ("native", "python")
-    monkeypatch.setenv("SPARSEBORN_KERNEL", "bogus")
-    with pytest.raises(RuntimeError):
-        importlib.reload(kernels)
-    monkeypatch.delenv("SPARSEBORN_KERNEL")
-    importlib.reload(kernels)

@@ -547,6 +547,11 @@ def test_load_rejects_bad_archives():
         load(io.StringIO(json.dumps(payload)))
 
 
+def test_load_rejects_deeply_nested_json():
+    with pytest.raises(ArchiveError):
+        load(io.StringIO("[" * 100_000 + "]" * 100_000))
+
+
 def test_load_rejects_non_finite_corpus_weight():
     good = io.StringIO()
     make_model({((0,), (0,)): 1.0, ((1,), (1,)): 2.0}, 2, [2]).save(good)
@@ -668,16 +673,6 @@ def test_cache_equals_fresh_recomputation():
     fresh = make_model(dict(model.corpus.entries), n_targets, [n_feats])
     assert model.predict(q).distribution == fresh.predict(q).distribution
     assert model.predict(q).distribution != warm or True  # cache was rebuilt
-
-
-def test_batch_prediction_worker_invariance():
-    rng = np.random.default_rng(27)
-    entries, n_targets, n_feats = random_matrix_corpus(rng)
-    model = make_model(entries, n_targets, [n_feats])
-    queries = [query_obs(random_query(rng, n_feats)) for _ in range(40)]
-    serial = model.predict_batch(queries, k=2, workers=1)
-    threaded = model.predict_batch(queries, k=2, workers=4)
-    assert serial == threaded
 
 
 def test_failed_update_forgets_grown_vocabulary_and_saves_loadable_archive():
