@@ -1,12 +1,18 @@
-"""The accumulation kernels: numpy, one implementation.
+"""The accumulation kernels: numpy, one implementation, a batch of queries per call.
 
-Both kernels add the addends of the query's columns into per-target
-accumulators, column by column in query order and row by row within a
-column.  ``np.add.at`` is unbuffered and applies updates in index order,
-so the real path is bitwise identical to the naive nested loop.  The phase
-path uses numpy's vectorized cos/sin, which may differ from libm's scalar
-functions by an ulp or two on some inputs; results are still fully
-deterministic, and zero phases are exact (cos(0)=1, sin(0)=0).
+Row q of ``qcols`` lists query q's columns in ascending order and row q of
+``qvals`` (``qtheta``) their values (phases); short rows are padded with a
+column whose ``col_ptr`` range is empty.  All addends of the batch are
+gathered at once and summed into row q of the accumulators by one
+``np.bincount`` over ``q * n_targets + row`` per part.  ``np.bincount``
+adds each bin's weights in input order, which is column order, so the real
+path is bitwise the naive nested loop run query by query.  The phase path's
+vectorized cos/sin may differ from libm's by an ulp; zero phases are exact.
+
+Both return the addends they summed, query by query: the flat ``qcols``
+position of each one's column, its table entry, its modulus
+``amp[entry] * qvals[slot]`` and its angle ``qtheta[slot] - phi[entry]``
+(None on the real path, where every angle is 0).
 """
 from __future__ import annotations
 
@@ -16,29 +22,31 @@ import numpy as np
 BACKEND = "python"
 
 
+def _gather(col_ptr, rows, amp, qcols, qvals, n_targets):
+    """Slot, entry, modulus and bin ``query * n_targets + row`` of every addend.
+
+    Array methods and ufuncs, not ``np.`` wrappers: the calls cost more than
+    the work on one tabular query.
+    """
+    flat = qcols.ravel()
+    lo, hi = col_ptr[flat], col_ptr[1:][flat]
+    lengths = hi - lo
+    ends = np.add.accumulate(lengths)
+    slot = np.arange(len(flat)).repeat(lengths)
+    entry = np.arange(ends[-1]) + (hi - ends).repeat(lengths)
+    query_base = np.arange(0, qcols.shape[0] * n_targets, n_targets).repeat(qcols.shape[1])
+    return slot, entry, amp[entry] * qvals.ravel()[slot], rows[entry] + query_base[slot]
+
+
 def accum_real(col_ptr, rows, amp, qcols, qvals, acc):
-    if len(qcols) == 0:
-        return
-    idx = np.concatenate([rows[col_ptr[c] : col_ptr[c + 1]] for c in qcols])
-    vals = np.concatenate(
-        [amp[col_ptr[c] : col_ptr[c + 1]] * v for c, v in zip(qcols, qvals)]
-    )
-    np.add.at(acc, idx, vals)
+    slot, entry, modulus, bins = _gather(col_ptr, rows, amp, qcols, qvals, acc.shape[1])
+    acc += np.bincount(bins, modulus, acc.size).reshape(acc.shape)
+    return slot, entry, modulus, None
 
 
 def accum_complex(col_ptr, rows, amp, phi, qcols, qvals, qtheta, acc_re, acc_im):
-    if len(qcols) == 0:
-        return
-    idx_parts = []
-    re_parts = []
-    im_parts = []
-    for c, v, th in zip(qcols, qvals, qtheta):
-        lo, hi = col_ptr[c], col_ptr[c + 1]
-        a = amp[lo:hi] * v
-        ang = th - phi[lo:hi]
-        idx_parts.append(rows[lo:hi])
-        re_parts.append(a * np.cos(ang))
-        im_parts.append(a * np.sin(ang))
-    idx = np.concatenate(idx_parts)
-    np.add.at(acc_re, idx, np.concatenate(re_parts))
-    np.add.at(acc_im, idx, np.concatenate(im_parts))
+    slot, entry, modulus, bins = _gather(col_ptr, rows, amp, qcols, qvals, acc_re.shape[1])
+    angle = qtheta.ravel()[slot] - phi[entry]
+    acc_re += np.bincount(bins, modulus * np.cos(angle), acc_re.size).reshape(acc_re.shape)
+    acc_im += np.bincount(bins, modulus * np.sin(angle), acc_im.size).reshape(acc_im.shape)
+    return slot, entry, modulus, angle

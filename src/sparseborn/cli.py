@@ -143,8 +143,8 @@ def cmd_explain(args) -> int:
                     for r in explain_mod.explain_local(model, obs, k=args.top_k)
                 ]
             else:  # aggregate
-                grouped = explain_mod.aggregate_local(model, observations)
-                rows = [r for target in sorted(grouped) for r in grouped[target][: args.top_k]]
+                grouped = explain_mod.aggregate_local(model, observations, k=args.top_k)
+                rows = [r for target in sorted(grouped) for r in grouped[target]]
         _write_attributions(stream, rows)
     finally:
         if owned:

@@ -57,14 +57,13 @@ def rank_rows(keys: np.ndarray):
 def _coalesce(keys: np.ndarray, weights: np.ndarray):
     """Sum the weights of equal key rows; cells come out in first-insertion order.
 
-    ``np.add.at`` adds in row order, so every total is the left-to-right sum
+    ``np.bincount`` adds in row order, so every total is the left-to-right sum
     a dict accumulator would produce, bitwise.
     """
     first, group = rank_rows(keys)  # the stable sort finds each group's earliest row
     if len(first) == len(keys):
         return keys, weights
-    totals = np.zeros(len(first))
-    np.add.at(totals, group, weights)
+    totals = np.bincount(group, weights, len(first))
     by_arrival = np.argsort(first)
     return keys[first[by_arrival]], totals[by_arrival]
 

@@ -239,17 +239,19 @@ class EncodedObservation:
         for d, dim_map in enumerate(self.feature_weights):
             if d not in keep and dim_map:
                 factor *= sum(dim_map.values())
-        out: Dict[Index, float] = {(): factor}
+        # while the kept dimensions hold one value each there is one cell: no dicts yet
+        prefix, out = (), None
         for d in sorted(keep):
             dim_map = self.feature_weights[d]
             if not dim_map:
                 return {}
-            out = {
-                prefix + (i,): w * wi
-                for prefix, w in out.items()
-                for i, wi in dim_map.items()
-            }
-        return out
+            if out is None and len(dim_map) == 1:
+                [(i, wi)] = dim_map.items()
+                prefix, factor = prefix + (i,), factor * wi
+                continue
+            cells = out if out is not None else {prefix: factor}
+            out = {p + (i,): w * wi for p, w in cells.items() for i, wi in dim_map.items()}
+        return out if out is not None else {prefix: factor}
 
     def counts(self, target_dims: int, feature_dims: int) -> SparseCounts:
         """Materialize the joint counts X as a sparse tensor."""

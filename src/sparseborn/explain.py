@@ -53,15 +53,25 @@ def _resolve_target(model: Model, target) -> Index:
     return encoded
 
 
-def _target_addends(level, target_index: Index):
-    """Query positions, moduli and angles of the addends for one target.
+def _check_k(k: int | None) -> None:
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
+
+
+def _target_addends(level, q: int, target_index: Index):
+    """Column positions, moduli and angles of query q's addends for one target.
 
     A query feature with no stored entry for the target has no addend.
     """
-    query, rows, modulus, angle = level.addends()
+    position, rows, modulus, angle = level.addends(q)
     target_ids = level.table.target_ids
     hit = rows == (target_ids.index(target_index) if target_index in target_ids else -1)
-    return query[hit], modulus[hit], angle[hit]
+    return position[hit], modulus[hit], angle[hit]
+
+
+def _ranked(scores: np.ndarray, k: int | None) -> List[int]:
+    """Positions by descending score; a stable sort keeps ties in position order."""
+    return np.argsort(-scores, kind="stable")[:k].tolist()
 
 
 def explain_local(
@@ -75,83 +85,67 @@ def explain_local(
     The target defaults to the predicted one.  Empty when the prediction
     came from the terminal fallback: no feature carried evidence.
     """
-    _, level = model.walk(query)
+    _check_k(k)
+    [(_, level, [q], _)] = model.walk([query])
     if level is None:
         return []
-    target_index = level.top() if target is None else _resolve_target(model, target)
-    n = len(level.qcols)
-    scores = [0.0] * n
-    angles = level.qtheta.tolist() if level.qtheta is not None else [0.0] * n
-    positions, modulus, angle = _target_addends(level, target_index)
-    for q, score, theta in zip(positions.tolist(), modulus.tolist(), angle.tolist()):
-        scores[q], angles[q] = score, theta
-    # qcols ascend and columns are ranked in feature index order, so the
-    # stable sort breaks score ties by feature index
-    order = sorted(range(n), key=scores.__getitem__, reverse=True)[:k]
-    cols = level.qcols.tolist()
-    total = math.fsum(scores)
-    decoded, kept = model.vocab.decode_target(target_index), level.kept
-    rows = []
-    for q in order:
-        feat = level.table.feat_ids[cols[q]]
-        feature = model.vocab.decode_feature(feat, kept)
-        share = scores[q] / total if total > 0 else 0.0
-        rows.append(
-            FeatureAttribution(decoded, target_index, feature, feat, scores[q], share, angles[q])
+    target_index = level.top(q) if target is None else _resolve_target(model, target)
+    cols = level.qcols[q][: np.searchsorted(level.qcols[q], len(level.table.feat_ids))]  # unpadded
+    n = len(cols)
+    scores = np.zeros(n)
+    angles = level.qtheta[q, :n].copy() if level.qtheta is not None else np.zeros(n)
+    positions, modulus, angle = _target_addends(level, q, target_index)
+    scores[positions], angles[positions] = modulus, angle
+    total = math.fsum(scores.tolist())
+    decoded, feat_ids = model.vocab.decode_target(target_index), level.table.feat_ids
+    # columns ascend in feature index order, so ties go to the smaller feature index
+    return [
+        FeatureAttribution(
+            decoded, target_index, model.vocab.decode_feature(feat_ids[cols[j]], level.kept),
+            feat_ids[cols[j]], float(scores[j]), float(scores[j]) / total if total > 0 else 0.0,
+            float(angles[j]),
         )
-    return rows
+        for j in _ranked(scores, k)
+    ]
 
 
 def explain_global(model: Model, target, k: int | None = None) -> List[FeatureAttribution]:
     """Rank every corpus feature by entropy-weighted balanced strength for a target."""
+    _check_k(k)
     target_index = _resolve_target(model, target)
-    keep = frozenset(range(model.n_feature_dims))
-    table = model._table(keep)
+    table = model._table(frozenset(range(model.n_feature_dims)))
     scores = np.zeros(len(table.feat_ids))
     angles = np.zeros(len(table.feat_ids))
-    for r, tgt in enumerate(table.target_ids):
-        if tgt == target_index:
-            mask = table.rows == r
-            cols = np.searchsorted(table.col_ptr, np.nonzero(mask)[0], side="right") - 1
-            scores[cols] = table.amp[mask]
-            if table.phi is not None:
-                angles[cols] = table.phi[mask]
-            break
-    order = sorted(range(len(scores)), key=lambda j: (-scores[j], table.feat_ids[j]))
-    if k is not None:
-        order = order[:k]
-    rows = [
+    if target_index in table.target_ids:
+        entries = np.flatnonzero(table.rows == table.target_ids.index(target_index))
+        cols = np.searchsorted(table.col_ptr, entries, side="right") - 1
+        scores[cols] = table.amp[entries]
+        if table.phi is not None:
+            angles[cols] = table.phi[entries]
+    total = math.fsum(scores.tolist())
+    decoded = model.vocab.decode_target(target_index)
+    return [
         FeatureAttribution(
-            target=model.vocab.decode_target(target_index),
+            target=decoded,
             target_index=target_index,
             feature=model.vocab.decode_feature(table.feat_ids[j]),
             feature_index=table.feat_ids[j],
             score=float(scores[j]),
-            share=0.0,
+            share=float(scores[j]) / total if total > 0 else 0.0,
             angle=float(angles[j]),
         )
-        for j in order
+        for j in _ranked(scores, k)
     ]
-    total = math.fsum(float(s) for s in scores)
-    if total > 0:
-        for r in rows:
-            r.share = r.score / total
-    return rows
 
 
 def discriminative_features(model: Model, k: int) -> List[FeatureAttribution]:
     """Top-k features by entropy weight raised to h: cross-target signal strength."""
     if model.hyper.h == 0:
         raise ValueError("discriminative ranking is undefined with h=0 (all weights are 1)")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    keep = frozenset(range(model.n_feature_dims))
-    table = model._table(keep)
+    _check_k(k)
+    table = model._table(frozenset(range(model.n_feature_dims)))
     powered = table.entropy ** model.hyper.h
-    order = sorted(
-        range(len(table.feat_ids)), key=lambda j: (-powered[j], table.feat_ids[j])
-    )[:k]
-    total = math.fsum(float(v) for v in powered)
+    total = math.fsum(powered.tolist())
     return [
         FeatureAttribution(
             target=None,
@@ -161,25 +155,30 @@ def discriminative_features(model: Model, k: int) -> List[FeatureAttribution]:
             score=float(powered[j]),
             share=float(powered[j]) / total if total > 0 else 0.0,
         )
-        for j in order
+        for j in _ranked(powered, k)
     ]
 
 
 def aggregate_local(
-    model: Model, queries: Sequence[EncodedObservation]
+    model: Model, queries: Sequence[EncodedObservation], k: int | None = None
 ) -> Dict[Tuple[str, ...], List[FeatureAttribution]]:
-    """Sum local scores over queries, grouped by each query's predicted target."""
+    """Sum local scores over queries, grouped by each query's predicted target.
+
+    Each target's features are ranked by summed score; ``k`` keeps the top k.
+    """
+    _check_k(k)
     sums: Dict[Tuple[Index, Tuple[int, ...]], Dict[Index, float]] = {}
-    for query in queries:
-        _, level = model.walk(query)
-        if level is None:
-            continue
-        predicted = level.top()
-        positions, modulus, _ = _target_addends(level, predicted)
+    decided = sorted(  # query order, as every sum below runs in it
+        (i, level, q)
+        for _, level, rows, queries_at in model.walk(queries) if level is not None
+        for q, i in zip(rows, queries_at)
+    )
+    for _, level, q in decided:
+        predicted = level.top(q)
+        positions, modulus, _ = _target_addends(level, q, predicted)
         bucket = sums.setdefault((predicted, level.kept), {})
-        feat_ids = level.table.feat_ids
-        for col, score in zip(level.qcols[positions].tolist(), modulus.tolist()):
-            feat = feat_ids[col]
+        for col, score in zip(level.qcols[q, positions].tolist(), modulus.tolist()):
+            feat = level.table.feat_ids[col]
             bucket[feat] = bucket.get(feat, 0.0) + score
     out: Dict[Tuple[str, ...], List[FeatureAttribution]] = {}
     for (predicted, kept), bucket in sums.items():
@@ -195,10 +194,11 @@ def aggregate_local(
             )
             for feat, score in bucket.items()
         )
-    for rows in out.values():
+    for target, rows in out.items():
         rows.sort(key=lambda r: (-r.score, r.feature_index))
         total = math.fsum(r.score for r in rows)
         if total > 0:
             for r in rows:
                 r.share = r.score / total
+        out[target] = rows[:k]
     return out

@@ -8,8 +8,12 @@ evaluated with the accumulation kernels.  The prediction rule is
     X_i = | sum_j exp(i(theta_j - phi_ij)) * Ht_j^h * Ct_ij^p * X_j^p |^(1/p)
 
 normalized over targets, with the policy's contraction chain applied
-whenever every X_i is zero.  A prediction, its contributions and its local
-explanations all read the same addends of the same level (:meth:`Model.walk`).
+whenever every X_i is zero.  Prediction is batch-first: :meth:`Model.walk`
+takes a batch of queries down the policy, and at each level one kernel call
+sums the addends of every query still undecided, which are then normalized
+and ranked together; the degenerate ones go on to the next level.  A single
+query is a batch of one.  A prediction, its contributions and its local
+explanations all read the addends that this walk gathered at one level.
 The counts do not depend on h, b or p: models that differ only in them can share one corpus.
 """
 from __future__ import annotations
@@ -18,7 +22,8 @@ import json
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -95,7 +100,8 @@ def _derive_weights(counts: SparseCounts, b: float, n_targets: int | None = None
     """Sort the entries by (feature, target) and derive both weights from their marginals.
 
     Rows and columns are the ranks of the target and feature multi-indices
-    in sorted order; ``col_ptr`` delimits each column's run of entries.
+    in sorted order; ``col_ptr`` delimits each column's run of entries, and
+    one more, empty column after the last that pads short query rows.
     ``entropy`` is each column's 1 - H/H_max on the artificially balanced
     corpus: the balanced joint divides each entry by its target's total,
     the conditional renormalizes per column, and H_max = ln(n_targets)
@@ -109,25 +115,21 @@ def _derive_weights(counts: SparseCounts, b: float, n_targets: int | None = None
     order = np.lexsort((rows, *counts.features.T[::-1]))
     feats = counts.features[order]
     new_col = run_starts(feats)
-    col_ptr = np.append(np.flatnonzero(new_col), len(feats))
+    col_ptr = np.append(np.flatnonzero(new_col), (len(feats), len(feats)))
     target_ids, feat_ids = row_tuples(counts.targets[first_target]), row_tuples(feats[new_col])
     rows, cols = rows[order].astype(np.int32), np.cumsum(new_col) - 1
     weights = counts.weights[order]
-    row_sums = np.zeros(len(target_ids))
-    col_sums = np.zeros(len(feat_ids))
-    np.add.at(row_sums, rows, weights)
-    np.add.at(col_sums, cols, weights)
+    # np.bincount adds in entry order: every sum is the left-to-right one, bitwise
+    row_sums = np.bincount(rows, weights, len(target_ids))
+    col_sums = np.bincount(cols, weights, len(feat_ids))
     if n_targets is None:
         n_targets = len(target_ids)
     if n_targets <= 1:
         entropy = np.ones(len(feat_ids))
     else:
         balanced = weights / row_sums[rows]
-        z = np.zeros(len(feat_ids))
-        np.add.at(z, cols, balanced)
-        conditional = balanced / z[cols]
-        h_sum = np.zeros(len(feat_ids))
-        np.add.at(h_sum, cols, conditional * np.log(conditional))
+        conditional = balanced / np.bincount(cols, balanced, len(feat_ids))[cols]
+        h_sum = np.bincount(cols, conditional * np.log(conditional), len(feat_ids))
         entropy = 1.0 + h_sum / math.log(n_targets)
         np.clip(entropy, 0.0, 1.0, out=entropy)
     ct = weights / (col_sums[cols] ** (1.0 - b) * row_sums[rows] ** b)
@@ -177,54 +179,54 @@ class _LevelTable:
 
 
 class _Level(NamedTuple):
-    """One query evaluated against one level table.
+    """A batch of queries evaluated against one level table, one row per query.
 
-    ``magnitudes`` holds X_i for each of the table's targets and ``total``
-    their sum; :meth:`addends` lists the terms that the kernel summed.
+    Row q of ``qcols`` (and ``qtheta``) holds query q's known columns in
+    ascending order, padded with the empty column ``len(table.feat_ids)``;
+    row q of ``magnitudes``
+    holds X_i for each of the table's targets and ``totals[q]`` their sum.
+    ``slot``, ``entry``, ``modulus`` and ``angle`` are the addends the kernel
+    summed (see :mod:`._kernels`).
     """
 
     table: _LevelTable
     qcols: np.ndarray
-    qpow: np.ndarray
     qtheta: np.ndarray | None
     magnitudes: np.ndarray
-    total: float
+    totals: np.ndarray
+    slot: np.ndarray
+    entry: np.ndarray
+    modulus: np.ndarray
+    angle: np.ndarray | None
 
     @property
     def kept(self) -> Tuple[int, ...]:
         return tuple(sorted(self.table.keep))
 
-    def distribution(self) -> Dict[Index, float]:
-        return dict(zip(self.table.target_ids, (self.magnitudes / self.total).tolist()))
+    def distribution(self, q: int) -> Dict[Index, float]:
+        return dict(zip(self.table.target_ids, (self.magnitudes[q] / self.totals[q]).tolist()))
 
-    def top(self) -> Index:
-        """The most probable target; ties go to the smaller multi-index."""
-        probs = (self.magnitudes / self.total).tolist()
-        return self.table.target_ids[probs.index(max(probs))]
+    def top(self, q: int) -> Index:
+        """Query q's most probable target; ties go to the smaller multi-index."""
+        return self.table.target_ids[(self.magnitudes[q] / self.totals[q]).argmax()]
 
-    def addends(self):
-        """(query position, target row, modulus, angle) of every addend.
-
-        One entry per stored cell of every query column, in (column, row)
-        order: modulus ``amp[k] * qpow[q]`` and angle ``theta[q] - phi[k]``.
+    def addends(self, q: int):
+        """(column position, target row, modulus, angle) of query q's addends,
+        one per stored cell of each of its columns, in (column, row) order.
         """
-        table = self.table
-        lo = table.col_ptr[self.qcols]
-        lengths = table.col_ptr[self.qcols + 1] - lo
-        query = np.repeat(np.arange(len(self.qcols)), lengths)
-        entry = np.arange(len(query)) + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
-        angle = self.qtheta[query] if self.qtheta is not None else np.zeros(len(entry))
-        if table.phi is not None:
-            angle = angle - table.phi[entry]
-        return query, table.rows[entry], table.amp[entry] * self.qpow[query], angle
+        width = self.qcols.shape[1]
+        lo, hi = np.searchsorted(self.slot, (q * width, (q + 1) * width))
+        angle = self.angle[lo:hi] if self.angle is not None else np.zeros(hi - lo)
+        rows = self.table.rows[self.entry[lo:hi]]
+        return self.slot[lo:hi] - q * width, rows, self.modulus[lo:hi], angle
 
-    def contributions(self) -> Dict[Tuple[Index, Index], Tuple[float, float]]:
-        query, rows, modulus, angle = self.addends()
+    def contributions(self, q: int) -> Dict[Tuple[Index, Index], Tuple[float, float]]:
+        position, rows, modulus, angle = self.addends(q)
         target_ids, feat_ids = self.table.target_ids, self.table.feat_ids
         return {
             (target_ids[r], feat_ids[c]): (m, a)
             for r, c, m, a in zip(
-                rows.tolist(), self.qcols[query].tolist(), modulus.tolist(), angle.tolist()
+                rows.tolist(), self.qcols[q, position].tolist(), modulus.tolist(), angle.tolist()
             )
         }
 
@@ -260,9 +262,11 @@ def _check_indices(keys: np.ndarray, shape: Tuple[Tuple[int, ...], Tuple[int, ..
 class Model:
     """A trained classifier: corpus, vocabulary, hyperparameters, phases, policy.
 
-    Derived per-level tables and the target marginal are cached lazily and
-    invalidated by :meth:`update`.  A model with warm caches is safe for
-    concurrent prediction; updates require exclusive access.
+    Every prediction, single or batched, and every local explanation reads
+    the one batch walk, :meth:`walk`.  Derived per-level tables and the
+    target marginal are cached lazily and invalidated by :meth:`update`.  A
+    model with warm caches is safe for concurrent prediction; updates
+    require exclusive access.
     """
 
     def __init__(
@@ -378,90 +382,107 @@ class Model:
 
     # -- prediction ----------------------------------------------------
 
-    def _query_arrays(self, obs: EncodedObservation, keep: FrozenSet[int], table: _LevelTable):
-        feats = obs.features_at(keep)
-        if not feats:
-            return None
-        use_theta = bool(obs.phases) and len(keep) == self.n_feature_dims
-        items = []
-        for fidx, w in feats.items():
-            col = table.feat_pos.get(fidx)
-            if col is None:
-                continue
-            theta = obs.phases.get(fidx, 0.0) if use_theta else 0.0
-            items.append((col, w, theta))
-        if not items:
-            return None
-        items.sort()
-        qcols = np.array([c for c, _, _ in items], dtype=np.int64)
-        qvals = np.array([w for _, w, _ in items], dtype=np.float64)
-        qtheta = None
-        if use_theta:
-            qtheta = np.array([th for _, _, th in items], dtype=np.float64)
-            if not qtheta.any():
-                qtheta = None
-        return qcols, qvals, qtheta
+    def _query_arrays(
+        self, queries: Sequence[EncodedObservation], keep: FrozenSet[int], table: _LevelTable
+    ):
+        """``qcols``, ``qvals`` and ``qtheta`` of a batch at one level (see :class:`_Level`).
 
-    def _level(self, obs: EncodedObservation, keep: FrozenSet[int]) -> _Level | None:
-        """The prediction rule at one contraction level; None when degenerate."""
+        Unknown features go to the padding too.  ``qtheta`` is None when every
+        phase is zero, and the result None when no query knows a feature.
+        """
+        pad, pos = len(table.feat_ids), table.feat_pos
+        feats = [obs.features_at(keep) for obs in queries]
+        width = max(map(len, feats)) or 1
+        cols: List[int] = []
+        vals: List[float] = []
+        for fmap in feats:
+            cols += [*map(pos.get, fmap, repeat(pad))] + [pad] * (width - len(fmap))
+            vals += [*fmap.values()] + [0.0] * (width - len(fmap))
+        if cols.count(pad) == len(cols):
+            return None
+        qcols = np.array(cols, dtype=np.int64).reshape(len(queries), width)
+        qvals = np.array(vals, dtype=np.float64).reshape(qcols.shape)
+        qtheta = None
+        if len(keep) == self.n_feature_dims and any(obs.phases for obs in queries):
+            qtheta = np.array([
+                [(obs.phases or {}).get(f, 0.0) for f in fmap] + [0.0] * (width - len(fmap))
+                for obs, fmap in zip(queries, feats)
+            ])
+        if width > 1:
+            order = np.arange(len(queries))[:, None], qcols.argsort(axis=1)
+            qcols, qvals = qcols[order], qvals[order]
+            qtheta = qtheta[order] if qtheta is not None else None
+        return qcols, qvals, qtheta if qtheta is not None and qtheta.any() else None
+
+    def _level(self, queries: Sequence[EncodedObservation], keep: FrozenSet[int]) -> _Level | None:
+        """The prediction rule for a batch of queries at one contraction level.
+
+        A query whose total falls below ``DEGENERATE_EPS`` (also one with no
+        known feature) is degenerate at this level; None when every query is.
+        """
         table = self._table(keep)
-        arrays = self._query_arrays(obs, keep, table)
+        arrays = self._query_arrays(queries, keep, table)
         if arrays is None:
             return None
         qcols, qvals, qtheta = arrays
         qpow = qvals ** self.hyper.p
-        n = len(table.target_ids)
+        shape = len(queries), len(table.target_ids)
         if table.phi is None and qtheta is None:
-            acc = np.zeros(n)
-            _kernels.accum_real(table.col_ptr, table.rows, table.amp, qcols, qpow, acc)
+            acc = np.zeros(shape)
+            addends = _kernels.accum_real(table.col_ptr, table.rows, table.amp, qcols, qpow, acc)
             modulus = np.abs(acc)
         else:
             phi = table.phi if table.phi is not None else np.zeros_like(table.amp)
             theta = qtheta if qtheta is not None else np.zeros_like(qpow)
-            acc_re = np.zeros(n)
-            acc_im = np.zeros(n)
-            _kernels.accum_complex(
-                table.col_ptr, table.rows, table.amp, phi, qcols, qpow, theta,
-                acc_re, acc_im,
+            acc_re, acc_im = np.zeros(shape), np.zeros(shape)
+            addends = _kernels.accum_complex(
+                table.col_ptr, table.rows, table.amp, phi, qcols, qpow, theta, acc_re, acc_im
             )
             modulus = np.hypot(acc_re, acc_im)
         magnitudes = modulus ** (1.0 / self.hyper.p)
-        total = float(magnitudes.sum())
-        if total < DEGENERATE_EPS:
-            return None
-        return _Level(table, qcols, qpow, qtheta, magnitudes, total)
+        return _Level(table, qcols, qtheta, magnitudes, np.add.reduce(magnitudes, 1), *addends)
 
-    def walk(self, obs: EncodedObservation) -> Tuple[int, _Level | None]:
-        """Follow the policy to the first nondegenerate level.
+    def walk(
+        self, queries: Sequence[EncodedObservation]
+    ) -> Iterator[Tuple[int, _Level | None, List[int], List[int]]]:
+        """Follow the policy for a batch, each query to its first nondegenerate level.
 
-        Returns the fallback depth and that level, whose addends are the
-        prediction's evidence, or None for the level when the walk reaches
-        the terminal (empty) step.  Every prediction and local explanation
-        reads this one walk.
+        Yields (depth, level, rows, decided) at each step that decides some
+        queries: those at positions ``decided`` are predicted by rows
+        ``rows`` of ``level``, whose addends are the evidence.  The others go
+        on to the next step; the terminal (empty) step has no level.
         """
-        self._check_query(obs)
+        for obs in queries:
+            self._check_query(obs)
+        pending = list(range(len(queries)))
         for depth, keep in enumerate(self.policy.steps):
+            if not pending:
+                return
             if not keep:
-                return depth, None
-            level = self._level(obs, keep)
-            if level is not None:
-                return depth, level
-        raise AssertionError("policy terminal step did not produce a distribution")
+                yield depth, None, pending, pending
+                return
+            level = self._level([queries[i] for i in pending], keep)
+            if level is None:
+                continue
+            degenerate = (level.totals < DEGENERATE_EPS).tolist()
+            rows = [r for r, d in enumerate(degenerate) if not d]
+            if rows:
+                yield depth, level, rows, [pending[r] for r in rows]
+            pending = [i for i, d in zip(pending, degenerate) if d]
 
     def predict(self, obs: EncodedObservation, with_contributions: bool = True) -> Prediction:
         """Evaluate the prediction rule with fallback for one query."""
-        depth, level = self.walk(obs)
+        [(depth, level, [q], _)] = self.walk([obs])
         if level is None:
             prior, marginal = dict(self.target_prior()), dict(self.target_marginal())
             return Prediction(prior, marginal, {}, depth, ())
-        magnitudes = dict(zip(level.table.target_ids, level.magnitudes.tolist()))
-        contributions = level.contributions() if with_contributions else {}
-        return Prediction(level.distribution(), magnitudes, contributions, depth, level.kept)
+        magnitudes = dict(zip(level.table.target_ids, level.magnitudes[q].tolist()))
+        contributions = level.contributions(q) if with_contributions else {}
+        return Prediction(level.distribution(q), magnitudes, contributions, depth, level.kept)
 
     def predict_labels(self, obs: EncodedObservation, k: int = 1) -> List[Tuple[str, ...]]:
         """Top-k decoded target tuples (multilabel when targets are multi-dimensional)."""
-        ranked, _, _ = self.predict_batch([obs], k)[0]
-        return [self.vocab.decode_target(t) for t in ranked]
+        return [self.vocab.decode_target(t) for t in self.predict_batch([obs], k)[0][0]]
 
     def predict_at_dims(self, obs: EncodedObservation, dims: Iterable[int]):
         """Distribution using only the given feature dimensions; None when degenerate.
@@ -473,8 +494,8 @@ class Model:
         dims = frozenset(dims)
         if not dims:
             return dict(self.target_prior())
-        level = self._level(obs, dims)
-        return level.distribution() if level is not None else None
+        level = self._level([obs], dims)
+        return None if level is None or level.totals[0] < DEGENERATE_EPS else level.distribution(0)
 
     def predict_batch(
         self, queries: Sequence[EncodedObservation], k: int = 1
@@ -482,13 +503,20 @@ class Model:
         """(top-k targets, distribution, fallback depth) for each query."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        prior = self.target_prior()
-        results = []
-        for obs in queries:
-            depth, level = self.walk(obs)
-            dist = level.distribution() if level is not None else dict(prior)
-            ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
-            results.append(([t for t, _ in ranked[:k]], dist, depth))
+        results: list = [None] * len(queries)
+        for depth, level, rows, decided in self.walk(queries):
+            if level is None:
+                prior = self.target_prior()
+                ranked = [t for t, _ in sorted(prior.items(), key=lambda kv: (-kv[1], kv[0]))[:k]]
+                for i in decided:
+                    results[i] = (list(ranked), dict(prior), depth)
+                continue
+            probs = level.magnitudes[rows] / level.totals[rows][:, None]
+            # a stable sort keeps ties in row order: the smaller multi-index first
+            tops = np.argsort(-probs, axis=1, kind="stable")[:, :k].tolist()
+            target_ids = level.table.target_ids
+            for i, dist, top in zip(decided, probs.tolist(), tops):
+                results[i] = ([target_ids[j] for j in top], dict(zip(target_ids, dist)), depth)
         return results
 
     # -- training ------------------------------------------------------

@@ -196,3 +196,20 @@ def test_invalid_arguments_fail_with_one_line_error(zoo_csv, tmp_path, capsys):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+def test_explain_rejects_top_k_below_one(zoo_csv, tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    run(capsys, "train", "--data", zoo_csv, "--targets", "class", "--model", model)
+    queries = tmp_path / "q.csv"
+    queries.write_text("class,hair,legs\n,1,4\n")
+    data = ["--data", str(queries), "--targets", "class"]
+    for k in ("0", "-1"):
+        for argv in (
+            ["--targets", "Mammal"],
+            ["--explain-mode", "local", *data],
+            ["--explain-mode", "aggregate", *data],
+        ):
+            code, out, err = run(capsys, "explain", "--model", model, "--top-k", k, *argv)
+            assert code == 1 and out == "", (k, argv)
+            assert err == "error: k must be >= 1\n", (k, argv)

@@ -201,5 +201,24 @@ def test_local_explanations_walk_the_policy_once():
     model._query_arrays = lambda *args: calls.append(args) or query_arrays(*args)
     explain_local(model, query_obs(q))
     assert len(calls) == 1
+    # the two queries of an aggregate are one batch: one walk for both
     aggregate_local(model, [query_obs(q), query_obs(q)])
-    assert len(calls) == 3
+    assert len(calls) == 2 and len(calls[1][0]) == 2
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_rankings_reject_k_below_one(k):
+    # k=-1 used to slice off the last row and k=0 to return nothing
+    model = make_model({((0,), (0,)): 2.0, ((1,), (1,)): 1.0, ((1,), (0,)): 1.0}, 2, [2])
+    query = query_obs({(0,): 3.0, (1,): 1.0})
+    for call in (
+        lambda: explain_local(model, query, k=k),
+        lambda: explain_global(model, (0,), k=k),
+        lambda: aggregate_local(model, [query], k=k),
+        lambda: discriminative_features(model, k),
+    ):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            call()
+    assert len(explain_local(model, query, k=1)) == 1
+    assert len(explain_global(model, (0,), k=1)) == 1
+    assert [len(rows) for rows in aggregate_local(model, [query], k=1).values()] == [1]

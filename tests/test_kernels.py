@@ -1,10 +1,12 @@
-"""The numpy accumulation kernels against a deliberately naive loop.
+"""The batched numpy accumulation kernels against a deliberately naive loop.
 
-The real path is bitwise identical to the loop (same multiplication and
-summation order).  The phase path uses numpy's vectorized cos/sin, which
-may differ from the loop's scalar ``math.cos``/``math.sin`` by an ulp or
-two, so it is checked to a tight tolerance instead.  Zero phases are
-exact.
+One kernel call sums a batch of queries, one query per row of ``qcols``,
+short rows padded with a column that has no entries.  The reference runs
+the naive nested loop query by query.  The real path is bitwise identical
+to it (same multiplication and summation order).  The phase path uses
+numpy's vectorized cos/sin, which may differ from the loop's scalar
+``math.cos``/``math.sin`` by an ulp or two, so it is checked to a tight
+tolerance instead.  Zero phases are exact.
 """
 import math
 
@@ -28,7 +30,13 @@ def reference_complex(col_ptr, rows, amp, phi, qcols, qvals, qtheta, acc_re, acc
             acc_im[rows[k]] += a * math.sin(ang)
 
 
-def random_instance(rng, n_targets=8, n_feats=30):
+def random_instance(rng, n_targets=8, n_feats=30, n_queries=6):
+    """A column-grouped table plus a padded batch of queries.
+
+    The last column of ``col_ptr`` is empty and pads the short rows.  The
+    batch has ragged rows, one row with no known column, and columns that
+    several queries share.  ``lengths`` gives each row's known columns.
+    """
     cols = []
     rows = []
     for j in range(n_feats):
@@ -40,49 +48,81 @@ def random_instance(rng, n_targets=8, n_feats=30):
     rows = np.array(rows, dtype=np.int32)
     amp = rng.uniform(0.01, 2.0, size=len(rows))
     phi = rng.uniform(0, 2 * np.pi, size=len(rows))
-    col_ptr = np.zeros(n_feats + 1, dtype=np.int64)
+    col_ptr = np.zeros(n_feats + 2, dtype=np.int64)
     np.add.at(col_ptr, cols + 1, 1)
     np.cumsum(col_ptr, out=col_ptr)
-    nq = rng.integers(1, n_feats + 1)
-    qcols = np.sort(rng.choice(n_feats, size=nq, replace=False)).astype(np.int64)
-    qvals = rng.uniform(0.1, 3.0, size=nq)
-    qtheta = rng.uniform(0, 2 * np.pi, size=nq)
-    return n_targets, col_ptr, rows, amp, phi, qcols, qvals, qtheta
+    pad = n_feats
+    lengths = rng.integers(1, n_feats // 2, size=n_queries)
+    lengths[rng.integers(n_queries)] = 0
+    common = int(rng.integers(n_feats))
+    others = np.delete(np.arange(n_feats), common)
+    qcols = np.full((n_queries, int(lengths.max())), pad, dtype=np.int64)
+    for q, m in enumerate(lengths):
+        if m:
+            qcols[q, :m] = np.sort(np.append(rng.choice(others, size=m - 1, replace=False), common))
+    qvals = rng.uniform(0.1, 3.0, size=qcols.shape)
+    qtheta = rng.uniform(0, 2 * np.pi, size=qcols.shape)
+    return n_targets, col_ptr, rows, amp, phi, qcols, qvals, qtheta, lengths
+
+
+def per_query(reference, n, lengths, *batch_args):
+    """Run a reference loop on each query's known columns; one accumulator row each."""
+    *table, qcols, qvals = batch_args
+    out = np.zeros((len(lengths), n))
+    for q, m in enumerate(lengths):
+        reference(*table, qcols[q, :m], qvals[q, :m], out[q])
+    return out
 
 
 def test_real_matches_reference_bitwise():
     rng = np.random.default_rng(61)
     for _ in range(25):
-        n, col_ptr, rows, amp, _, qcols, qvals, _ = random_instance(rng)
-        expected = np.zeros(n)
-        reference_real(col_ptr, rows, amp, qcols, qvals, expected)
-        acc = np.zeros(n)
-        _kernels.accum_real(col_ptr, rows, amp, qcols, qvals, acc)
+        n, col_ptr, rows, amp, _, qcols, qvals, _, lengths = random_instance(rng)
+        expected = per_query(reference_real, n, lengths, col_ptr, rows, amp, qcols, qvals)
+        acc = np.zeros((len(qcols), n))
+        slot, entry, modulus, angle = _kernels.accum_real(col_ptr, rows, amp, qcols, qvals, acc)
         assert np.array_equal(acc, expected)
+        assert not acc[lengths == 0].any()
+        # the returned addends are the ones summed, query by query
+        assert angle is None and np.all(np.diff(slot) >= 0)
+        assert len(entry) == int((col_ptr[qcols + 1] - col_ptr[qcols]).sum())
+        assert np.array_equal(modulus, amp[entry] * qvals.ravel()[slot])
+        width = qcols.shape[1]
+        again = np.zeros_like(acc)
+        np.add.at(again, (slot // width, rows[entry]), modulus)
+        assert np.array_equal(again, acc)
 
 
 def test_complex_matches_reference():
     rng = np.random.default_rng(62)
     for _ in range(25):
-        n, col_ptr, rows, amp, phi, qcols, qvals, qtheta = random_instance(rng)
-        exp_re = np.zeros(n)
-        exp_im = np.zeros(n)
-        reference_complex(col_ptr, rows, amp, phi, qcols, qvals, qtheta, exp_re, exp_im)
-        acc_re = np.zeros(n)
-        acc_im = np.zeros(n)
-        _kernels.accum_complex(col_ptr, rows, amp, phi, qcols, qvals, qtheta, acc_re, acc_im)
+        n, col_ptr, rows, amp, phi, qcols, qvals, qtheta, lengths = random_instance(rng)
+        exp_re = np.zeros((len(qcols), n))
+        exp_im = np.zeros((len(qcols), n))
+        for q, m in enumerate(lengths):
+            reference_complex(
+                col_ptr, rows, amp, phi, qcols[q, :m], qvals[q, :m], qtheta[q, :m],
+                exp_re[q], exp_im[q],
+            )
+        acc_re = np.zeros_like(exp_re)
+        acc_im = np.zeros_like(exp_im)
+        slot, entry, modulus, angle = _kernels.accum_complex(
+            col_ptr, rows, amp, phi, qcols, qvals, qtheta, acc_re, acc_im
+        )
         np.testing.assert_allclose(acc_re, exp_re, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(acc_im, exp_im, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(angle, qtheta.ravel()[slot] - phi[entry])
+        assert np.array_equal(modulus, amp[entry] * qvals.ravel()[slot])
 
 
 def test_zero_phase_complex_equals_real_bitwise():
     rng = np.random.default_rng(63)
     for _ in range(25):
-        n, col_ptr, rows, amp, _, qcols, qvals, _ = random_instance(rng)
-        real = np.zeros(n)
+        n, col_ptr, rows, amp, _, qcols, qvals, _, lengths = random_instance(rng)
+        real = np.zeros((len(qcols), n))
         _kernels.accum_real(col_ptr, rows, amp, qcols, qvals, real)
-        acc_re = np.zeros(n)
-        acc_im = np.zeros(n)
+        acc_re = np.zeros_like(real)
+        acc_im = np.zeros_like(real)
         _kernels.accum_complex(
             col_ptr, rows, amp, np.zeros_like(amp), qcols, qvals,
             np.zeros_like(qvals), acc_re, acc_im,
@@ -92,3 +132,14 @@ def test_zero_phase_complex_equals_real_bitwise():
         # the modulus path is also exact: hypot(x, 0) == |x|
         assert np.array_equal(np.hypot(acc_re, acc_im), np.abs(real))
 
+
+def test_one_query_batch_equals_its_row_of_a_larger_batch():
+    rng = np.random.default_rng(64)
+    n, col_ptr, rows, amp, _, qcols, qvals, _, lengths = random_instance(rng)
+    batch = np.zeros((len(qcols), n))
+    _kernels.accum_real(col_ptr, rows, amp, qcols, qvals, batch)
+    for q, m in enumerate(lengths):
+        one = np.zeros((1, n))
+        width = max(m, 1)  # a row of one padding column when the query knows none
+        _kernels.accum_real(col_ptr, rows, amp, qcols[q:q + 1, :width], qvals[q:q + 1, :width], one)
+        assert np.array_equal(one[0], batch[q])
