@@ -7,8 +7,6 @@ generalizing both the Bayesian rule and the Born rule.  Degenerate
 predictions fall back along a contraction policy, down to the raw target
 marginal.
 """
-from types import ModuleType as _ModuleType
-
 from ._kernels import BACKEND as KERNEL_BACKEND
 from .counts import SparseCounts, accumulate
 from .data import (
@@ -58,8 +56,47 @@ from .policy import Policy, PolicySearchReport, apply_step, learn_policy, p_norm
 
 __version__ = "0.1.0"
 
-# the public names are exactly the ones imported above
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-) + ["__version__"]
+__all__ = [
+    "KERNEL_BACKEND",
+    "SparseCounts",
+    "accumulate",
+    "EncodedObservation",
+    "RawRecord",
+    "Vocabulary",
+    "encode",
+    "load_tabular",
+    "load_text_tree",
+    "load_token_records",
+    "tokenize",
+    "ArchiveError",
+    "InvalidRecordError",
+    "ParseError",
+    "SchemaError",
+    "ShapeError",
+    "SparsebornError",
+    "UnknownTargetError",
+    "MetricReport",
+    "PairwiseTable",
+    "holdout_experiment",
+    "repeated_split_experiment",
+    "score",
+    "FeatureAttribution",
+    "aggregate_local",
+    "discriminative_features",
+    "explain_global",
+    "explain_local",
+    "Hyperparams",
+    "Model",
+    "PhaseTable",
+    "Prediction",
+    "entropy_weights",
+    "fit",
+    "load",
+    "weight_tensor",
+    "Policy",
+    "PolicySearchReport",
+    "apply_step",
+    "learn_policy",
+    "p_norm_loss",
+    "__version__",
+]

@@ -1,18 +1,17 @@
 """The accumulation kernels: numpy, one implementation, a batch of queries per call.
 
-Row q of ``qcols`` lists query q's columns in ascending order and row q of
-``qvals`` (``qtheta``) their values (phases); short rows are padded with a
-column whose ``col_ptr`` range is empty.  All addends of the batch are
-gathered at once and summed into row q of the accumulators by one
-``np.bincount`` over ``q * n_targets + row`` per part.  ``np.bincount``
-adds each bin's weights in input order, which is column order, so the real
-path is bitwise the naive nested loop run query by query.  The phase path's
-vectorized cos/sin may differ from libm's by an ulp; zero phases are exact.
+``qcols`` lists each query's columns in ascending order, consecutive queries
+separated by the table's last column, ``len(col_ptr) - 2``, which is empty;
+``qvals`` (``qtheta``) holds each cell's value (phase), and row q of the
+accumulators is query q's.  All addends are gathered at once and summed by
+one ``np.bincount`` over ``q * n_targets + row`` per part, which adds each
+bin's weights in column order: the real path is bitwise the naive nested
+loop run query by query.  The phase path's vectorized cos/sin may differ
+from libm's by an ulp; zero phases are exact.
 
-Both return the addends they summed, query by query: the flat ``qcols``
-position of each one's column, its table entry, its modulus
-``amp[entry] * qvals[slot]`` and its angle ``qtheta[slot] - phi[entry]``
-(None on the real path, where every angle is 0).
+Both return the addends: how many each cell has, then each one's table
+entry, modulus ``amp[entry] * qvals[cell]`` and angle
+``qtheta[cell] - phi[entry]`` (None on the real path, where it is 0).
 """
 from __future__ import annotations
 
@@ -22,31 +21,31 @@ import numpy as np
 BACKEND = "python"
 
 
-def _gather(col_ptr, rows, amp, qcols, qvals, n_targets):
-    """Slot, entry, modulus and bin ``query * n_targets + row`` of every addend.
+def _gather(col_ptr, rows, amp, qcols, qvals, acc):
+    """Addends per cell, entry, modulus and bin ``query * n_targets + row`` of every addend.
 
     Array methods and ufuncs, not ``np.`` wrappers: the calls cost more than
     the work on one tabular query.
     """
-    flat = qcols.ravel()
-    lo, hi = col_ptr[flat], col_ptr[1:][flat]
+    lo, hi = col_ptr[qcols], col_ptr[1:][qcols]
     lengths = hi - lo
-    ends = np.add.accumulate(lengths)
-    slot = np.arange(len(flat)).repeat(lengths)
-    entry = np.arange(ends[-1]) + (hi - ends).repeat(lengths)
-    query_base = np.arange(0, qcols.shape[0] * n_targets, n_targets).repeat(qcols.shape[1])
-    return slot, entry, amp[entry] * qvals.ravel()[slot], rows[entry] + query_base[slot]
+    entry = (hi - np.add.accumulate(lengths)).repeat(lengths)
+    entry += np.arange(len(entry))
+    bins = rows[entry]
+    if len(acc) > 1:  # a cell's query is the number of separators before it
+        bins = bins + acc.shape[1] * (qcols == len(col_ptr) - 2).cumsum().repeat(lengths)
+    return lengths, entry, amp[entry] * qvals.repeat(lengths), bins
 
 
 def accum_real(col_ptr, rows, amp, qcols, qvals, acc):
-    slot, entry, modulus, bins = _gather(col_ptr, rows, amp, qcols, qvals, acc.shape[1])
+    lengths, entry, modulus, bins = _gather(col_ptr, rows, amp, qcols, qvals, acc)
     acc += np.bincount(bins, modulus, acc.size).reshape(acc.shape)
-    return slot, entry, modulus, None
+    return lengths, entry, modulus, None
 
 
 def accum_complex(col_ptr, rows, amp, phi, qcols, qvals, qtheta, acc_re, acc_im):
-    slot, entry, modulus, bins = _gather(col_ptr, rows, amp, qcols, qvals, acc_re.shape[1])
-    angle = qtheta.ravel()[slot] - phi[entry]
+    lengths, entry, modulus, bins = _gather(col_ptr, rows, amp, qcols, qvals, acc_re)
+    angle = qtheta.repeat(lengths) - phi[entry]
     acc_re += np.bincount(bins, modulus * np.cos(angle), acc_re.size).reshape(acc_re.shape)
     acc_im += np.bincount(bins, modulus * np.sin(angle), acc_im.size).reshape(acc_im.shape)
-    return slot, entry, modulus, angle
+    return lengths, entry, modulus, angle

@@ -59,19 +59,31 @@ def _check_k(k: int | None) -> None:
 
 
 def _target_addends(level, q: int, target_index: Index):
-    """Column positions, moduli and angles of query q's addends for one target.
+    """Cells, moduli and angles of query q's addends for one target.
 
     A query feature with no stored entry for the target has no addend.
     """
-    position, rows, modulus, angle = level.addends(q)
+    cell, rows, modulus, angle = level.addends(q)
     target_ids = level.table.target_ids
     hit = rows == (target_ids.index(target_index) if target_index in target_ids else -1)
-    return position[hit], modulus[hit], angle[hit]
+    return cell[hit], modulus[hit], angle[hit]
 
 
-def _ranked(scores: np.ndarray, k: int | None) -> List[int]:
-    """Positions by descending score; a stable sort keeps ties in position order."""
-    return np.argsort(-scores, kind="stable")[:k].tolist()
+def _top_columns(model: Model, table, scores, k, target_index=None, angles=None):
+    """Attributions of the k full-level columns of highest score.
+
+    Columns are in feature index order, so the stable sort breaks ties by it.
+    """
+    total = math.fsum(scores.tolist())
+    decoded = model.vocab.decode_target(target_index) if target_index is not None else None
+    return [
+        FeatureAttribution(
+            decoded, target_index, model.vocab.decode_feature(table.feat_ids[j]), table.feat_ids[j],
+            float(scores[j]), float(scores[j]) / total if total > 0 else 0.0,
+            float(angles[j]) if angles is not None else 0.0,
+        )
+        for j in np.argsort(-scores, kind="stable")[:k].tolist()
+    ]
 
 
 def explain_local(
@@ -90,23 +102,28 @@ def explain_local(
     if level is None:
         return []
     target_index = level.top(q) if target is None else _resolve_target(model, target)
-    cols = level.qcols[q][: np.searchsorted(level.qcols[q], len(level.table.feat_ids))]  # unpadded
-    n = len(cols)
-    scores = np.zeros(n)
-    angles = level.qtheta[q, :n].copy() if level.qtheta is not None else np.zeros(n)
-    positions, modulus, angle = _target_addends(level, q, target_index)
-    scores[positions], angles[positions] = modulus, angle
-    total = math.fsum(scores.tolist())
-    decoded, feat_ids = model.vocab.decode_target(target_index), level.table.feat_ids
-    # columns ascend in feature index order, so ties go to the smaller feature index
-    return [
-        FeatureAttribution(
-            decoded, target_index, model.vocab.decode_feature(feat_ids[cols[j]], level.kept),
-            feat_ids[cols[j]], float(scores[j]), float(scores[j]) / total if total > 0 else 0.0,
-            float(angles[j]),
+    start, stop = level.span(q)
+    n = stop - start
+    scores = [0.0] * n
+    angles = level.qtheta[start:stop].tolist() if level.qtheta is not None else [0.0] * n
+    cells, modulus, angle = _target_addends(level, q, target_index)
+    for j, score, theta in zip((cells - start).tolist(), modulus.tolist(), angle.tolist()):
+        scores[j], angles[j] = score, theta
+    # qcols ascend and columns are ranked in feature index order, so the
+    # stable sort breaks score ties by feature index
+    order = sorted(range(n), key=scores.__getitem__, reverse=True)[:k]
+    cols = level.qcols[start:stop].tolist()
+    total = math.fsum(scores)
+    decoded, kept = model.vocab.decode_target(target_index), level.kept
+    rows = []
+    for j in order:
+        feat = level.table.feat_ids[cols[j]]
+        feature = model.vocab.decode_feature(feat, kept)
+        share = scores[j] / total if total > 0 else 0.0
+        rows.append(
+            FeatureAttribution(decoded, target_index, feature, feat, scores[j], share, angles[j])
         )
-        for j in _ranked(scores, k)
-    ]
+    return rows
 
 
 def explain_global(model: Model, target, k: int | None = None) -> List[FeatureAttribution]:
@@ -122,20 +139,7 @@ def explain_global(model: Model, target, k: int | None = None) -> List[FeatureAt
         scores[cols] = table.amp[entries]
         if table.phi is not None:
             angles[cols] = table.phi[entries]
-    total = math.fsum(scores.tolist())
-    decoded = model.vocab.decode_target(target_index)
-    return [
-        FeatureAttribution(
-            target=decoded,
-            target_index=target_index,
-            feature=model.vocab.decode_feature(table.feat_ids[j]),
-            feature_index=table.feat_ids[j],
-            score=float(scores[j]),
-            share=float(scores[j]) / total if total > 0 else 0.0,
-            angle=float(angles[j]),
-        )
-        for j in _ranked(scores, k)
-    ]
+    return _top_columns(model, table, scores, k, target_index, angles)
 
 
 def discriminative_features(model: Model, k: int) -> List[FeatureAttribution]:
@@ -144,19 +148,7 @@ def discriminative_features(model: Model, k: int) -> List[FeatureAttribution]:
         raise ValueError("discriminative ranking is undefined with h=0 (all weights are 1)")
     _check_k(k)
     table = model._table(frozenset(range(model.n_feature_dims)))
-    powered = table.entropy ** model.hyper.h
-    total = math.fsum(powered.tolist())
-    return [
-        FeatureAttribution(
-            target=None,
-            target_index=None,
-            feature=model.vocab.decode_feature(table.feat_ids[j]),
-            feature_index=table.feat_ids[j],
-            score=float(powered[j]),
-            share=float(powered[j]) / total if total > 0 else 0.0,
-        )
-        for j in _ranked(powered, k)
-    ]
+    return _top_columns(model, table, table.entropy ** model.hyper.h, k)
 
 
 def aggregate_local(
@@ -167,21 +159,19 @@ def aggregate_local(
     Each target's features are ranked by summed score; ``k`` keeps the top k.
     """
     _check_k(k)
-    sums: Dict[Tuple[Index, Tuple[int, ...]], Dict[Index, float]] = {}
-    decided = sorted(  # query order, as every sum below runs in it
-        (i, level, q)
-        for _, level, rows, queries_at in model.walk(queries) if level is not None
-        for q, i in zip(rows, queries_at)
-    )
-    for _, level, q in decided:
-        predicted = level.top(q)
-        positions, modulus, _ = _target_addends(level, q, predicted)
-        bucket = sums.setdefault((predicted, level.kept), {})
-        for col, score in zip(level.qcols[q, positions].tolist(), modulus.tolist()):
-            feat = level.table.feat_ids[col]
-            bucket[feat] = bucket.get(feat, 0.0) + score
+    # (predicted, kept) -> (first query, feature sums); a bucket's queries all
+    # stop at one policy step, whose sub-batches come in query order
+    sums: Dict[Tuple[Index, Tuple[int, ...]], Tuple[int, Dict[Index, float]]] = {}
+    for _, level, rows, queries_at in model.walk(queries):
+        for q, i in zip(rows, queries_at) if level is not None else ():
+            predicted = level.top(q)
+            cells, modulus, _ = _target_addends(level, q, predicted)
+            bucket = sums.setdefault((predicted, level.kept), (i, {}))[1]
+            for col, score in zip(level.qcols[cells].tolist(), modulus.tolist()):
+                feat = level.table.feat_ids[col]
+                bucket[feat] = bucket.get(feat, 0.0) + score
     out: Dict[Tuple[str, ...], List[FeatureAttribution]] = {}
-    for (predicted, kept), bucket in sums.items():
+    for (predicted, kept), (_, bucket) in sorted(sums.items(), key=lambda item: item[1][0]):
         decoded_target = model.vocab.decode_target(predicted)
         out.setdefault(decoded_target, []).extend(
             FeatureAttribution(

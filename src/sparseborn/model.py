@@ -8,12 +8,10 @@ evaluated with the accumulation kernels.  The prediction rule is
     X_i = | sum_j exp(i(theta_j - phi_ij)) * Ht_j^h * Ct_ij^p * X_j^p |^(1/p)
 
 normalized over targets, with the policy's contraction chain applied
-whenever every X_i is zero.  Prediction is batch-first: :meth:`Model.walk`
-takes a batch of queries down the policy, and at each level one kernel call
-sums the addends of every query still undecided, which are then normalized
-and ranked together; the degenerate ones go on to the next level.  A single
-query is a batch of one.  A prediction, its contributions and its local
-explanations all read the addends that this walk gathered at one level.
+whenever every X_i is zero.  :meth:`Model.walk` takes a batch of queries
+down the policy, each level summing the undecided ones with one kernel call;
+a single query is a batch of one.  A prediction, its contributions and its
+local explanations all read the addends this walk gathered at one level.
 The counts do not depend on h, b or p: models that differ only in them can share one corpus.
 """
 from __future__ import annotations
@@ -38,6 +36,25 @@ ARCHIVE_VERSION = 1
 
 # All X_i below this total are treated as the degenerate all-zero estimate.
 DEGENERATE_EPS = 1e-300
+
+# Addends one kernel call gathers at most, unless one query alone has more.
+BATCH_ADDENDS = 1 << 14
+
+
+def _sub_batches(queries, pending: List[int], keep: FrozenSet[int], max_cells: int):
+    """The pending queries and their features at a level, in runs of at most
+    ``max_cells`` cells, a cell per feature and one per query (its row of the
+    accumulators); a wider query goes alone."""
+    batch, feats, cells = [], [], 0
+    for i in pending:
+        fmap = queries[i].features_at(keep)
+        if batch and cells + len(fmap) + 1 > max_cells:
+            yield batch, feats
+            batch, feats, cells = [], [], 0
+        batch.append(i)
+        feats.append(fmap)
+        cells += len(fmap) + 1
+    yield batch, feats
 
 
 @dataclass(frozen=True)
@@ -101,7 +118,7 @@ def _derive_weights(counts: SparseCounts, b: float, n_targets: int | None = None
 
     Rows and columns are the ranks of the target and feature multi-indices
     in sorted order; ``col_ptr`` delimits each column's run of entries, and
-    one more, empty column after the last that pads short query rows.
+    one more, empty column after the last that separates batched queries.
     ``entropy`` is each column's 1 - H/H_max on the artificially balanced
     corpus: the balanced joint divides each entry by its target's total,
     the conditional renormalizes per column, and H_max = ln(n_targets)
@@ -178,15 +195,15 @@ class _LevelTable:
     entropy: np.ndarray
 
 
-class _Level(NamedTuple):
+@dataclass(eq=False)
+class _Level:
     """A batch of queries evaluated against one level table, one row per query.
 
-    Row q of ``qcols`` (and ``qtheta``) holds query q's known columns in
-    ascending order, padded with the empty column ``len(table.feat_ids)``;
-    row q of ``magnitudes``
-    holds X_i for each of the table's targets and ``totals[q]`` their sum.
-    ``slot``, ``entry``, ``modulus`` and ``angle`` are the addends the kernel
-    summed (see :mod:`._kernels`).
+    ``qcols`` (and ``qtheta``) hold the batch's known columns in the kernels'
+    flat layout (see :mod:`._kernels`); row q of ``magnitudes`` holds X_i
+    for each of the table's targets and ``totals[q]`` their sum.
+    ``lengths``, ``entry``, ``modulus`` and ``angle`` are the addends the
+    kernel summed.
     """
 
     table: _LevelTable
@@ -194,40 +211,54 @@ class _Level(NamedTuple):
     qtheta: np.ndarray | None
     magnitudes: np.ndarray
     totals: np.ndarray
-    slot: np.ndarray
+    lengths: np.ndarray
     entry: np.ndarray
     modulus: np.ndarray
     angle: np.ndarray | None
+    _index: Tuple[List[int], List[int]] | None = None
 
     @property
     def kept(self) -> Tuple[int, ...]:
         return tuple(sorted(self.table.keep))
 
+    def decided(self) -> List[int]:
+        """The rows whose total reaches ``DEGENERATE_EPS``; the rest are degenerate."""
+        return [r for r, total in enumerate(self.totals.tolist()) if not total < DEGENERATE_EPS]
+
+    def span(self, q: int) -> Tuple[int, int]:
+        """Query q's cells in ``qcols``: start and stop."""
+        if self._index is None:  # built once: an aggregate reads every query's span
+            seps = np.flatnonzero(self.qcols == len(self.table.feat_ids)) + 1
+            ends = np.add.accumulate(self.lengths)  # of each cell's addends
+            self._index = [0, *seps.tolist(), len(self.qcols) + 1], [0, *ends.tolist()]
+        starts = self._index[0]
+        return starts[q], starts[q + 1] - 1
+
     def distribution(self, q: int) -> Dict[Index, float]:
-        return dict(zip(self.table.target_ids, (self.magnitudes[q] / self.totals[q]).tolist()))
+        total = self.totals.item(q)  # a float divides as numpy does, with fewer calls
+        return dict(zip(self.table.target_ids, [m / total for m in self.magnitudes[q].tolist()]))
 
     def top(self, q: int) -> Index:
         """Query q's most probable target; ties go to the smaller multi-index."""
         return self.table.target_ids[(self.magnitudes[q] / self.totals[q]).argmax()]
 
     def addends(self, q: int):
-        """(column position, target row, modulus, angle) of query q's addends,
-        one per stored cell of each of its columns, in (column, row) order.
+        """(cell, target row, modulus, angle) of query q's addends, one per
+        stored cell of each of its columns, in (column, row) order.
         """
-        width = self.qcols.shape[1]
-        lo, hi = np.searchsorted(self.slot, (q * width, (q + 1) * width))
+        start, stop = self.span(q)
+        lo, hi = self._index[1][start], self._index[1][stop]
+        cell = np.arange(start, stop).repeat(self.lengths[start:stop])
         angle = self.angle[lo:hi] if self.angle is not None else np.zeros(hi - lo)
-        rows = self.table.rows[self.entry[lo:hi]]
-        return self.slot[lo:hi] - q * width, rows, self.modulus[lo:hi], angle
+        return cell, self.table.rows[self.entry[lo:hi]], self.modulus[lo:hi], angle
 
     def contributions(self, q: int) -> Dict[Tuple[Index, Index], Tuple[float, float]]:
-        position, rows, modulus, angle = self.addends(q)
+        cell, rows, modulus, angle = self.addends(q)
+        cols = self.qcols[cell]
         target_ids, feat_ids = self.table.target_ids, self.table.feat_ids
         return {
             (target_ids[r], feat_ids[c]): (m, a)
-            for r, c, m, a in zip(
-                rows.tolist(), self.qcols[q, position].tolist(), modulus.tolist(), angle.tolist()
-            )
+            for r, c, m, a in zip(rows.tolist(), cols.tolist(), modulus.tolist(), angle.tolist())
         }
 
 
@@ -382,46 +413,45 @@ class Model:
 
     # -- prediction ----------------------------------------------------
 
-    def _query_arrays(
-        self, queries: Sequence[EncodedObservation], keep: FrozenSet[int], table: _LevelTable
-    ):
-        """``qcols``, ``qvals`` and ``qtheta`` of a batch at one level (see :class:`_Level`).
-
-        Unknown features go to the padding too.  ``qtheta`` is None when every
-        phase is zero, and the result None when no query knows a feature.
+    def _query_arrays(self, queries, feats: List[Dict[Index, float]], table: _LevelTable):
+        """``qcols``, ``qvals`` and ``qtheta`` of a batch at one level (see :mod:`._kernels`)
+        from each query's features there, unknown ones dropped.  ``qtheta`` is
+        None when every phase is zero, the result None when no query knows a feature.
         """
-        pad, pos = len(table.feat_ids), table.feat_pos
-        feats = [obs.features_at(keep) for obs in queries]
-        width = max(map(len, feats)) or 1
+        sep, pos = len(table.feat_ids), table.feat_pos
         cols: List[int] = []
         vals: List[float] = []
         for fmap in feats:
-            cols += [*map(pos.get, fmap, repeat(pad))] + [pad] * (width - len(fmap))
-            vals += [*fmap.values()] + [0.0] * (width - len(fmap))
-        if cols.count(pad) == len(cols):
+            cols += map(pos.get, fmap, repeat(-1))
+            cols.append(sep)
+            vals += fmap.values()
+            vals.append(0.0)
+        del cols[-1], vals[-1]
+        if cols.count(-1) + len(feats) - 1 == len(cols):
             return None
-        qcols = np.array(cols, dtype=np.int64).reshape(len(queries), width)
-        qvals = np.array(vals, dtype=np.float64).reshape(qcols.shape)
+        qcols, qvals = np.array(cols), np.array(vals)
         qtheta = None
-        if len(keep) == self.n_feature_dims and any(obs.phases for obs in queries):
+        if len(table.keep) == self.n_feature_dims and any(obs.phases for obs in queries):
             qtheta = np.array([
-                [(obs.phases or {}).get(f, 0.0) for f in fmap] + [0.0] * (width - len(fmap))
-                for obs, fmap in zip(queries, feats)
-            ])
-        if width > 1:
-            order = np.arange(len(queries))[:, None], qcols.argsort(axis=1)
+                theta for obs, fmap in zip(queries, feats)
+                for theta in (*map((obs.phases or {}).get, fmap, repeat(0.0)), 0.0)
+            ][:-1])
+        if -1 in cols:
+            known = qcols >= 0
+            qcols, qvals = qcols[known], qvals[known]
+            qtheta = qtheta[known] if qtheta is not None else None
+        if max(map(len, feats)) > 1:  # sort each query's columns, its separator last
+            is_sep = qcols == sep
+            order = ((is_sep.cumsum() - is_sep) * (sep + 1) + qcols).argsort()
             qcols, qvals = qcols[order], qvals[order]
             qtheta = qtheta[order] if qtheta is not None else None
         return qcols, qvals, qtheta if qtheta is not None and qtheta.any() else None
 
-    def _level(self, queries: Sequence[EncodedObservation], keep: FrozenSet[int]) -> _Level | None:
-        """The prediction rule for a batch of queries at one contraction level.
-
-        A query whose total falls below ``DEGENERATE_EPS`` (also one with no
-        known feature) is degenerate at this level; None when every query is.
-        """
+    def _level(self, queries, feats: List[Dict[Index, float]], keep: FrozenSet[int]):
+        """The prediction rule for a batch of queries at one contraction level, from
+        their features there: a :class:`_Level`, or None when no query knows a feature."""
         table = self._table(keep)
-        arrays = self._query_arrays(queries, keep, table)
+        arrays = self._query_arrays(queries, feats, table)
         if arrays is None:
             return None
         qcols, qvals, qtheta = arrays
@@ -447,10 +477,12 @@ class Model:
     ) -> Iterator[Tuple[int, _Level | None, List[int], List[int]]]:
         """Follow the policy for a batch, each query to its first nondegenerate level.
 
-        Yields (depth, level, rows, decided) at each step that decides some
-        queries: those at positions ``decided`` are predicted by rows
-        ``rows`` of ``level``, whose addends are the evidence.  The others go
-        on to the next step; the terminal (empty) step has no level.
+        Yields (depth, level, rows, decided) for each sub-batch of a step that
+        decides some queries: those at positions ``decided`` are predicted by
+        rows ``rows`` of ``level``, whose addends are the evidence; the others
+        go on.  The terminal (empty) step has no level.  A column has at most
+        one entry per target, so sub-batches of ``BATCH_ADDENDS / n_targets``
+        cells (features plus queries; or one query) bound the kernels' arrays.
         """
         for obs in queries:
             self._check_query(obs)
@@ -461,14 +493,16 @@ class Model:
             if not keep:
                 yield depth, None, pending, pending
                 return
-            level = self._level([queries[i] for i in pending], keep)
-            if level is None:
-                continue
-            degenerate = (level.totals < DEGENERATE_EPS).tolist()
-            rows = [r for r, d in enumerate(degenerate) if not d]
-            if rows:
-                yield depth, level, rows, [pending[r] for r in rows]
-            pending = [i for i, d in zip(pending, degenerate) if d]
+            max_cells = BATCH_ADDENDS // len(self._table(keep).target_ids)
+            degenerate: List[int] = []
+            for batch, feats in _sub_batches(queries, pending, keep, max_cells):
+                level = self._level([queries[i] for i in batch], feats, keep)
+                rows = level.decided() if level is not None else []
+                if rows:
+                    yield depth, level, rows, [batch[r] for r in rows]
+                done = set(rows)
+                degenerate += [i for r, i in enumerate(batch) if r not in done]
+            pending = degenerate
 
     def predict(self, obs: EncodedObservation, with_contributions: bool = True) -> Prediction:
         """Evaluate the prediction rule with fallback for one query."""
@@ -494,8 +528,8 @@ class Model:
         dims = frozenset(dims)
         if not dims:
             return dict(self.target_prior())
-        level = self._level([obs], dims)
-        return None if level is None or level.totals[0] < DEGENERATE_EPS else level.distribution(0)
+        level = self._level([obs], [obs.features_at(dims)], dims)
+        return level.distribution(0) if level is not None and level.decided() else None
 
     def predict_batch(
         self, queries: Sequence[EncodedObservation], k: int = 1

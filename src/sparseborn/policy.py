@@ -73,8 +73,8 @@ def p_norm_loss(x: Mapping[Index, float], xhat: Mapping[Index, float], p: float)
     """(1/2) * (sum_i |x_i - xhat_i|^p)^(1/p) over the union of supports."""
     if not p > 0:
         raise ValueError("p must be positive")
-    keys = x.keys() | xhat.keys()  # fsum is exactly rounded: the set's order cannot matter
-    total = math.fsum([abs(x.get(k, 0.0) - xhat.get(k, 0.0)) ** p for k in keys])
+    keys = set(x) | set(xhat)
+    total = math.fsum(abs(x.get(k, 0.0) - xhat.get(k, 0.0)) ** p for k in keys)
     return 0.5 * total ** (1.0 / p)
 
 

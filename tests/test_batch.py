@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_model
+from helpers import make_model, query_obs
+from sparseborn import _kernels
+from sparseborn import model as model_module
 from sparseborn.data import EncodedObservation
 from sparseborn.errors import ShapeError
+from sparseborn.explain import aggregate_local
 
 # Feature dimension sizes of the vocabulary.  The corpus never uses the last
 # value of dimension 2, so a query holding it misses the full level and
@@ -113,3 +116,42 @@ def test_one_bad_query_fails_the_whole_batch(bad):
     with pytest.raises(ShapeError):
         model.predict_batch(batch)
     assert model.predict_batch(good) == [model.predict_batch([q])[0] for q in good]
+
+
+def test_one_wide_query_among_narrow_ones_keeps_kernel_calls_bounded(monkeypatch):
+    # a long document in a file of short ones: sub-batches keep every kernel
+    # call within BATCH_ADDENDS addends unless the call holds that query alone
+    rng = np.random.default_rng(5)
+    n_feats = 400
+    entries = {
+        ((t,), (j,)): float(rng.integers(1, 9))
+        for t in range(3) for j in range(n_feats) if rng.random() < 0.7
+    }
+    model = make_model(entries, 3, [n_feats])
+    narrow = [
+        {(int(j),): float(rng.integers(1, 5)) for j in rng.choice(n_feats, size=3, replace=False)}
+        for _ in range(40)
+    ]
+    wide = {(j,): 1.0 for j in range(0, n_feats, 2)}
+    empty = [{}] * 30  # no feature, but a row of the accumulators each
+    queries = [query_obs(q) for q in narrow[:20] + empty + [wide] + narrow[20:] + empty]
+    expected = [bits(model.predict_batch([q])[0]) for q in queries]
+    aggregate = aggregate_local(model, queries)
+    calls = []
+
+    def counting(col_ptr, rows, amp, qcols, qvals, acc, _kernel=_kernels.accum_real):
+        result = _kernel(col_ptr, rows, amp, qcols, qvals, acc)
+        calls.append((len(acc), len(qcols), len(result[1])))
+        return result
+
+    monkeypatch.setattr(_kernels, "accum_real", counting)
+    monkeypatch.setattr(model_module, "BATCH_ADDENDS", 60)
+    assert [bits(r) for r in model.predict_batch(queries)] == expected
+    assert len(calls) > 3
+    for n_queries, n_cells, n_addends in calls:
+        # n_cells counts the known features and a separator between queries
+        assert n_queries == 1 or (n_addends <= 60 and (n_cells + 1) * 3 <= 60)
+    # the wide query went alone
+    assert any(n_queries == 1 and n_addends > 60 for n_queries, _, n_addends in calls)
+    # an aggregate sums each target's features in query order across sub-batches
+    assert repr(aggregate_local(model, queries)) == repr(aggregate)

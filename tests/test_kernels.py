@@ -1,12 +1,12 @@
 """The batched numpy accumulation kernels against a deliberately naive loop.
 
-One kernel call sums a batch of queries, one query per row of ``qcols``,
-short rows padded with a column that has no entries.  The reference runs
-the naive nested loop query by query.  The real path is bitwise identical
-to it (same multiplication and summation order).  The phase path uses
-numpy's vectorized cos/sin, which may differ from the loop's scalar
-``math.cos``/``math.sin`` by an ulp or two, so it is checked to a tight
-tolerance instead.  Zero phases are exact.
+One kernel call sums a batch of queries laid out flat: each query's columns
+in ascending order, consecutive queries separated by the table's last,
+empty column.  The reference runs the naive nested loop query by query.
+The real path is bitwise identical to it (same multiplication and summation
+order).  The phase path uses numpy's vectorized cos/sin, which may differ
+from the loop's scalar ``math.cos``/``math.sin`` by an ulp or two, so it is
+checked to a tight tolerance instead.  Zero phases are exact.
 """
 import math
 
@@ -31,11 +31,12 @@ def reference_complex(col_ptr, rows, amp, phi, qcols, qvals, qtheta, acc_re, acc
 
 
 def random_instance(rng, n_targets=8, n_feats=30, n_queries=6):
-    """A column-grouped table plus a padded batch of queries.
+    """A column-grouped table plus a batch of queries.
 
-    The last column of ``col_ptr`` is empty and pads the short rows.  The
-    batch has ragged rows, one row with no known column, and columns that
-    several queries share.  ``lengths`` gives each row's known columns.
+    The last column of ``col_ptr`` is empty and separates the queries.  The
+    batch has ragged queries, one with no known column, and a column that
+    several queries share.  ``queries`` lists each query's (columns,
+    values, phases); ``qcols``, ``qvals`` and ``qtheta`` are the flat batch.
     """
     cols = []
     rows = []
@@ -51,75 +52,80 @@ def random_instance(rng, n_targets=8, n_feats=30, n_queries=6):
     col_ptr = np.zeros(n_feats + 2, dtype=np.int64)
     np.add.at(col_ptr, cols + 1, 1)
     np.cumsum(col_ptr, out=col_ptr)
-    pad = n_feats
     lengths = rng.integers(1, n_feats // 2, size=n_queries)
     lengths[rng.integers(n_queries)] = 0
     common = int(rng.integers(n_feats))
     others = np.delete(np.arange(n_feats), common)
-    qcols = np.full((n_queries, int(lengths.max())), pad, dtype=np.int64)
-    for q, m in enumerate(lengths):
-        if m:
-            qcols[q, :m] = np.sort(np.append(rng.choice(others, size=m - 1, replace=False), common))
-    qvals = rng.uniform(0.1, 3.0, size=qcols.shape)
-    qtheta = rng.uniform(0, 2 * np.pi, size=qcols.shape)
-    return n_targets, col_ptr, rows, amp, phi, qcols, qvals, qtheta, lengths
+    queries = []
+    for m in lengths:
+        qc = np.sort(np.append(rng.choice(others, size=m - 1, replace=False), common)) if m else []
+        qc = np.array(qc, dtype=np.int64)
+        queries.append((qc, rng.uniform(0.1, 3.0, m), rng.uniform(0, 2 * np.pi, m)))
+    qcols = flat([qc for qc, _, _ in queries], n_feats)
+    qvals = flat([qv for _, qv, _ in queries], 0.0)
+    qtheta = flat([qt for _, _, qt in queries], 0.0)
+    return n_targets, col_ptr, rows, amp, phi, queries, qcols, qvals, qtheta
 
 
-def per_query(reference, n, lengths, *batch_args):
-    """Run a reference loop on each query's known columns; one accumulator row each."""
-    *table, qcols, qvals = batch_args
-    out = np.zeros((len(lengths), n))
-    for q, m in enumerate(lengths):
-        reference(*table, qcols[q, :m], qvals[q, :m], out[q])
+def flat(parts, gap):
+    """The parts concatenated with ``gap`` between consecutive ones."""
+    out = []
+    for part in parts:
+        out += [part, [gap]]
+    return np.concatenate(out[:-1])
+
+
+def summed(n, queries, lengths, entry, modulus, rows):
+    """Re-add the returned addends one by one into (query, row) cells."""
+    query = np.arange(len(queries)).repeat([len(q[0]) + 1 for q in queries])[:-1]
+    out = np.zeros((len(queries), n))
+    np.add.at(out, (query.repeat(lengths), rows[entry]), modulus)
     return out
 
 
 def test_real_matches_reference_bitwise():
     rng = np.random.default_rng(61)
     for _ in range(25):
-        n, col_ptr, rows, amp, _, qcols, qvals, _, lengths = random_instance(rng)
-        expected = per_query(reference_real, n, lengths, col_ptr, rows, amp, qcols, qvals)
-        acc = np.zeros((len(qcols), n))
-        slot, entry, modulus, angle = _kernels.accum_real(col_ptr, rows, amp, qcols, qvals, acc)
+        n, col_ptr, rows, amp, _, queries, qcols, qvals, _ = random_instance(rng)
+        expected = np.zeros((len(queries), n))
+        for q, (qc, qv, _) in enumerate(queries):
+            reference_real(col_ptr, rows, amp, qc, qv, expected[q])
+        acc = np.zeros((len(queries), n))
+        lengths, entry, modulus, angle = _kernels.accum_real(col_ptr, rows, amp, qcols, qvals, acc)
         assert np.array_equal(acc, expected)
-        assert not acc[lengths == 0].any()
-        # the returned addends are the ones summed, query by query
-        assert angle is None and np.all(np.diff(slot) >= 0)
-        assert len(entry) == int((col_ptr[qcols + 1] - col_ptr[qcols]).sum())
-        assert np.array_equal(modulus, amp[entry] * qvals.ravel()[slot])
-        width = qcols.shape[1]
-        again = np.zeros_like(acc)
-        np.add.at(again, (slot // width, rows[entry]), modulus)
-        assert np.array_equal(again, acc)
+        assert not acc[[len(q[0]) == 0 for q in queries]].any()
+        # the returned addends are the ones summed, cell by cell
+        assert angle is None
+        assert np.array_equal(lengths, col_ptr[qcols + 1] - col_ptr[qcols])
+        assert len(entry) == lengths.sum() and not lengths[qcols == len(col_ptr) - 2].any()
+        assert np.array_equal(modulus, amp[entry] * qvals.repeat(lengths))
+        assert np.array_equal(summed(n, queries, lengths, entry, modulus, rows), acc)
 
 
 def test_complex_matches_reference():
     rng = np.random.default_rng(62)
     for _ in range(25):
-        n, col_ptr, rows, amp, phi, qcols, qvals, qtheta, lengths = random_instance(rng)
-        exp_re = np.zeros((len(qcols), n))
-        exp_im = np.zeros((len(qcols), n))
-        for q, m in enumerate(lengths):
-            reference_complex(
-                col_ptr, rows, amp, phi, qcols[q, :m], qvals[q, :m], qtheta[q, :m],
-                exp_re[q], exp_im[q],
-            )
+        n, col_ptr, rows, amp, phi, queries, qcols, qvals, qtheta = random_instance(rng)
+        exp_re = np.zeros((len(queries), n))
+        exp_im = np.zeros((len(queries), n))
+        for q, (qc, qv, qt) in enumerate(queries):
+            reference_complex(col_ptr, rows, amp, phi, qc, qv, qt, exp_re[q], exp_im[q])
         acc_re = np.zeros_like(exp_re)
         acc_im = np.zeros_like(exp_im)
-        slot, entry, modulus, angle = _kernels.accum_complex(
+        lengths, entry, modulus, angle = _kernels.accum_complex(
             col_ptr, rows, amp, phi, qcols, qvals, qtheta, acc_re, acc_im
         )
         np.testing.assert_allclose(acc_re, exp_re, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(acc_im, exp_im, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(angle, qtheta.ravel()[slot] - phi[entry])
-        assert np.array_equal(modulus, amp[entry] * qvals.ravel()[slot])
+        assert np.array_equal(angle, qtheta.repeat(lengths) - phi[entry])
+        assert np.array_equal(modulus, amp[entry] * qvals.repeat(lengths))
 
 
 def test_zero_phase_complex_equals_real_bitwise():
     rng = np.random.default_rng(63)
     for _ in range(25):
-        n, col_ptr, rows, amp, _, qcols, qvals, _, lengths = random_instance(rng)
-        real = np.zeros((len(qcols), n))
+        n, col_ptr, rows, amp, _, queries, qcols, qvals, _ = random_instance(rng)
+        real = np.zeros((len(queries), n))
         _kernels.accum_real(col_ptr, rows, amp, qcols, qvals, real)
         acc_re = np.zeros_like(real)
         acc_im = np.zeros_like(real)
@@ -135,11 +141,10 @@ def test_zero_phase_complex_equals_real_bitwise():
 
 def test_one_query_batch_equals_its_row_of_a_larger_batch():
     rng = np.random.default_rng(64)
-    n, col_ptr, rows, amp, _, qcols, qvals, _, lengths = random_instance(rng)
-    batch = np.zeros((len(qcols), n))
+    n, col_ptr, rows, amp, _, queries, qcols, qvals, _ = random_instance(rng)
+    batch = np.zeros((len(queries), n))
     _kernels.accum_real(col_ptr, rows, amp, qcols, qvals, batch)
-    for q, m in enumerate(lengths):
+    for q, (qc, qv, _) in enumerate(queries):
         one = np.zeros((1, n))
-        width = max(m, 1)  # a row of one padding column when the query knows none
-        _kernels.accum_real(col_ptr, rows, amp, qcols[q:q + 1, :width], qvals[q:q + 1, :width], one)
+        _kernels.accum_real(col_ptr, rows, amp, qc, qv, one)
         assert np.array_equal(one[0], batch[q])

@@ -113,9 +113,9 @@ def test_traced_workload_reports_every_layer_metric(monkeypatch, tmp_path):
     for name in ("accum_real", "accum_complex"):
         def counting(*args, _kernel=getattr(_kernels, name)):
             result = _kernel(*args)
-            slot, entry = result[:2]
-            qvals = args[4] if len(args) == 6 else args[5]
-            assert (qvals.ravel()[slot] > 0).all()  # padding gathers nothing
+            lengths, entry = result[:2]
+            col_ptr, qcols = args[0], args[3] if len(args) == 6 else args[4]
+            assert not lengths[qcols == len(col_ptr) - 2].any()  # separators gather nothing
             summed.append((_kernel.__name__, len(entry)))
             return result
 
