@@ -12,21 +12,22 @@ whenever every X_i is zero.  :meth:`Model.walk` takes a batch of queries
 down the policy, each level summing the undecided ones with one kernel call;
 a single query is a batch of one.  A prediction, its contributions and its
 local explanations all read the addends this walk gathered at one level.
-The counts do not depend on h, b or p: models that differ only in them can share one corpus.
+The counts do not depend on h, b or p: models that differ only in them can share one corpus,
+held in an immutable published state that :meth:`Model.update` replaces and never changes.
 """
 from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
-from .counts import Index, SparseCounts, rank_rows, row_tuples, run_starts, sort_groups
+from .counts import Index, SparseCounts, _index_matrix, rank_rows, row_tuples, run_starts, sort_groups
 from .data import EncodedObservation, Vocabulary, joint_rows
 from .errors import ArchiveError, InvalidRecordError, ShapeError
 from .policy import Policy
@@ -195,6 +196,28 @@ class _LevelTable:
     entropy: np.ndarray
 
 
+class _State:
+    """A published version of a model's counts, and what is derived from them on first
+    read.  ``shape`` is the vocabulary's when published; no attribute is ever reassigned."""
+
+    def __init__(self, corpus: SparseCounts, shape: Tuple[Tuple[int, ...], Tuple[int, ...]]):
+        self.corpus, self.shape = corpus, shape
+        self.tables: Dict[FrozenSet[int], _LevelTable] = {}
+
+    @cached_property
+    def marginal(self) -> Dict[Index, float]:
+        order, starts = sort_groups(self.corpus.targets)
+        targets = row_tuples(self.corpus.targets[order[starts]])
+        weights = self.corpus.weights[order].tolist()
+        bounds = np.flatnonzero(starts).tolist() + [len(weights)]
+        return {t: math.fsum(weights[lo:hi]) for t, lo, hi in zip(targets, bounds, bounds[1:])}
+
+    @cached_property
+    def prior(self) -> Dict[Index, float]:
+        total = math.fsum(self.marginal.values())
+        return {t: w / total for t, w in self.marginal.items()}
+
+
 @dataclass(eq=False)
 class _Level:
     """A batch of queries evaluated against one level table, one row per query.
@@ -286,18 +309,30 @@ class Prediction:
 def _check_indices(keys: np.ndarray, shape: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> None:
     """Reject count key rows with a coordinate outside a vocabulary of this shape."""
     sizes = np.array(shape[0] + shape[1], dtype=np.int64)
-    if not ((keys >= 0) & (keys < sizes)).all():
+    if keys.shape[1] != len(sizes) or not ((keys >= 0) & (keys < sizes)).all():
         raise ShapeError("corpus index outside the vocabulary")
+
+
+def _check_phases(phases: PhaseTable, shape: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> None:
+    """Reject phase cells as corpus cells are rejected: coordinates must be
+    integers, as many as the dimensions, inside a vocabulary of this shape."""
+    widths = tuple(map(len, shape))
+    if any((len(t), len(f)) != widths for t, f in phases.entries):
+        raise ShapeError("phase coordinates do not match the tensor shape")
+    try:
+        keys = _index_matrix([t + f for t, f in phases.entries], sum(widths))
+    except TypeError as exc:
+        raise ShapeError(f"phase {exc}") from exc
+    _check_indices(keys, shape)
 
 
 class Model:
     """A trained classifier: corpus, vocabulary, hyperparameters, phases, policy.
 
     Every prediction, single or batched, and every local explanation reads
-    the one batch walk, :meth:`walk`.  Derived per-level tables and the
-    target marginal are cached lazily and invalidated by :meth:`update`.  A
-    model with warm caches is safe for concurrent prediction; updates
-    require exclusive access.
+    the one batch walk, :meth:`walk`, which reads the published :class:`_State`
+    once: a prediction that starts before an :meth:`update` finishes on the old
+    state.  Concurrent prediction is safe; two updates at once are not.
     """
 
     def __init__(
@@ -310,36 +345,33 @@ class Model:
     ):
         if corpus.target_dims != vocab.n_target_dims or corpus.feature_dims != vocab.n_feature_dims:
             raise ShapeError("corpus shape does not match vocabulary")
-        self._vocab_shape = vocab.shape()  # as of the last successful update
-        _check_indices(corpus.keys, self._vocab_shape)
-        self.corpus = corpus
+        self._state = _State(corpus, vocab.shape())
+        _check_indices(corpus.keys, self._state.shape)
         self.vocab = vocab
         self.hyper = hyper or Hyperparams()
         self.phases = phases or PhaseTable()
+        if self.phases:
+            _check_phases(self.phases, self._state.shape)
         self.policy = policy or Policy.default(vocab.n_feature_dims)
         if self.policy.n_dims != vocab.n_feature_dims:
             raise ShapeError("policy dimension count does not match vocabulary")
-        self._tables: Dict[FrozenSet[int], _LevelTable] = {}
-        self._marginal: Dict[Index, float] | None = None
-        self._prior: Dict[Index, float] | None = None
-        self._lock = threading.Lock()
 
     # -- bookkeeping ---------------------------------------------------
 
     @property
-    def n_feature_dims(self) -> int:
-        return self.vocab.n_feature_dims
+    def corpus(self) -> SparseCounts:
+        """The published counts; :meth:`update` replaces them and never changes them."""
+        return self._state.corpus
 
-    def _invalidate(self) -> None:
-        self._tables.clear()
-        self._marginal = None
-        self._prior = None
+    @property
+    def n_feature_dims(self) -> int:
+        return self._state.corpus.feature_dims
 
     def _check_dim_count(self, obs: EncodedObservation) -> None:
         if len(obs.feature_weights) != len(self.vocab.feature_dims):
             raise ShapeError(
                 f"query has {obs.n_feature_dims} feature dimensions, "
-                f"model has {self.n_feature_dims}"
+                f"model has {len(self.vocab.feature_dims)}"
             )
 
     def _check_query(self, obs: EncodedObservation) -> None:
@@ -356,43 +388,26 @@ class Model:
 
     def target_marginal(self) -> Dict[Index, float]:
         """Raw per-target corpus weight (exact, order-independent sums)."""
-        if self._marginal is None:
-            targets = self.corpus.targets
-            order, starts = sort_groups(targets)
-            weights = self.corpus.weights[order].tolist()
-            bounds = np.flatnonzero(starts).tolist() + [len(weights)]
-            self._marginal = {
-                t: math.fsum(weights[lo:hi])
-                for t, lo, hi in zip(row_tuples(targets[order[starts]]), bounds, bounds[1:])
-            }
-        return self._marginal
+        return self._state.marginal
 
     def target_prior(self) -> Dict[Index, float]:
         """Normalized target marginal: the terminal fallback distribution."""
-        if self._prior is None:
-            marginal = self.target_marginal()
-            total = math.fsum(marginal.values())
-            self._prior = {t: w / total for t, w in marginal.items()}
-        return self._prior
+        return self._state.prior
 
     # -- derived tables ------------------------------------------------
 
-    def _table(self, keep: FrozenSet[int]) -> _LevelTable:
-        table = self._tables.get(keep)
-        if table is not None:
-            return table
-        with self._lock:
-            table = self._tables.get(keep)
-            if table is None:
-                table = self._build_table(keep)
-                self._tables[keep] = table
+    def _table(self, keep: FrozenSet[int], state: _State | None = None) -> _LevelTable:
+        state = state or self._state
+        table = state.tables.get(keep)
+        if table is None:  # racing builders all return the first table stored
+            table = state.tables.setdefault(keep, self._build_table(keep, state))
         return table
 
-    def _build_table(self, keep: FrozenSet[int]) -> _LevelTable:
+    def _build_table(self, keep: FrozenSet[int], state: _State) -> _LevelTable:
         full = keep == frozenset(range(self.n_feature_dims))
-        corpus = self.corpus if full else self.corpus.keep_feature_dims(keep)
+        corpus = state.corpus if full else state.corpus.keep_feature_dims(keep)
         target_ids, feat_ids, rows, cols, col_ptr, entropy, ct = _derive_weights(
-            corpus, self.hyper.b, self.vocab.target_space_size()
+            corpus, self.hyper.b, math.prod(state.shape[0])
         )
         amp = entropy[cols] ** self.hyper.h * ct ** self.hyper.p
         phi = None
@@ -447,10 +462,9 @@ class Model:
             qtheta = qtheta[order] if qtheta is not None else None
         return qcols, qvals, qtheta if qtheta is not None and qtheta.any() else None
 
-    def _level(self, queries, feats: List[Dict[Index, float]], keep: FrozenSet[int]):
+    def _level(self, queries, feats: List[Dict[Index, float]], table: _LevelTable):
         """The prediction rule for a batch of queries at one contraction level, from
         their features there: a :class:`_Level`, or None when no query knows a feature."""
-        table = self._table(keep)
         arrays = self._query_arrays(queries, feats, table)
         if arrays is None:
             return None
@@ -473,17 +487,19 @@ class Model:
         return _Level(table, qcols, qtheta, magnitudes, np.add.reduce(magnitudes, 1), *addends)
 
     def walk(
-        self, queries: Sequence[EncodedObservation]
+        self, queries: Sequence[EncodedObservation], state: _State | None = None
     ) -> Iterator[Tuple[int, _Level | None, List[int], List[int]]]:
         """Follow the policy for a batch, each query to its first nondegenerate level.
 
         Yields (depth, level, rows, decided) for each sub-batch of a step that
         decides some queries: those at positions ``decided`` are predicted by
         rows ``rows`` of ``level``, whose addends are the evidence; the others
-        go on.  The terminal (empty) step has no level.  A column has at most
+        go on.  The terminal (empty) step has no level: the prior of ``state``
+        (the published one unless given) decides.  A column has at most
         one entry per target, so sub-batches of ``BATCH_ADDENDS / n_targets``
         cells (features plus queries; or one query) bound the kernels' arrays.
         """
+        state = state or self._state
         for obs in queries:
             self._check_query(obs)
         pending = list(range(len(queries)))
@@ -493,10 +509,11 @@ class Model:
             if not keep:
                 yield depth, None, pending, pending
                 return
-            max_cells = BATCH_ADDENDS // len(self._table(keep).target_ids)
+            table = self._table(keep, state)
+            max_cells = BATCH_ADDENDS // len(table.target_ids)
             degenerate: List[int] = []
             for batch, feats in _sub_batches(queries, pending, keep, max_cells):
-                level = self._level([queries[i] for i in batch], feats, keep)
+                level = self._level([queries[i] for i in batch], feats, table)
                 rows = level.decided() if level is not None else []
                 if rows:
                     yield depth, level, rows, [batch[r] for r in rows]
@@ -506,10 +523,10 @@ class Model:
 
     def predict(self, obs: EncodedObservation, with_contributions: bool = True) -> Prediction:
         """Evaluate the prediction rule with fallback for one query."""
-        [(depth, level, [q], _)] = self.walk([obs])
+        state = self._state
+        [(depth, level, [q], _)] = self.walk([obs], state)
         if level is None:
-            prior, marginal = dict(self.target_prior()), dict(self.target_marginal())
-            return Prediction(prior, marginal, {}, depth, ())
+            return Prediction(dict(state.prior), dict(state.marginal), {}, depth, ())
         magnitudes = dict(zip(level.table.target_ids, level.magnitudes[q].tolist()))
         contributions = level.contributions(q) if with_contributions else {}
         return Prediction(level.distribution(q), magnitudes, contributions, depth, level.kept)
@@ -528,7 +545,7 @@ class Model:
         dims = frozenset(dims)
         if not dims:
             return dict(self.target_prior())
-        level = self._level([obs], [obs.features_at(dims)], dims)
+        level = self._level([obs], [obs.features_at(dims)], self._table(dims))
         return level.distribution(0) if level is not None and level.decided() else None
 
     def predict_batch(
@@ -538,9 +555,10 @@ class Model:
         if k < 1:
             raise ValueError("k must be >= 1")
         results: list = [None] * len(queries)
-        for depth, level, rows, decided in self.walk(queries):
+        state = self._state
+        for depth, level, rows, decided in self.walk(queries, state):
             if level is None:
-                prior = self.target_prior()
+                prior = state.prior
                 ranked = [t for t, _ in sorted(prior.items(), key=lambda kv: (-kv[1], kv[0]))[:k]]
                 for i in decided:
                     results[i] = (list(ranked), dict(prior), depth)
@@ -556,48 +574,43 @@ class Model:
     # -- training ------------------------------------------------------
 
     def update(self, observations: Sequence[EncodedObservation]) -> "Model":
-        """Accumulate new observations into the corpus and drop caches.
+        """Publish the counts plus new observations, with the vocabulary's shape.
 
-        All-or-nothing: the new counts are built in full before the corpus
-        changes, so a call that raises leaves the model as it was, and the
-        vocabulary loses whatever was added to it (by ``encode(grow=True)``)
-        since the last successful update.
+        The published counts are copied, not changed, so predictions already
+        started finish on them.  All-or-nothing: a call that raises publishes
+        nothing, and the vocabulary loses whatever was added to it (by
+        ``encode(grow=True)``) since the published state.
         """
-        if observations:
-            shape = self.corpus.target_dims, self.corpus.feature_dims
-            try:
-                keys, weights = joint_rows(observations, *shape)
-                _check_indices(keys, self.vocab.shape())
-                self.corpus.add_rows(keys, weights)
-            except BaseException:
-                self.vocab.truncate(self._vocab_shape)
-                raise
-            self._invalidate()
-        self._vocab_shape = self.vocab.shape()
+        state = self._state
+        try:
+            keys, weights = joint_rows(observations, state.corpus.target_dims, state.corpus.feature_dims)
+            _check_indices(keys, self.vocab.shape())
+            published = _State(state.corpus.copy().add_rows(keys, weights), self.vocab.shape())
+        except BaseException:
+            self.vocab.truncate(state.shape)
+            raise
+        self._state = published
         return self
 
     # -- persistence ---------------------------------------------------
 
     def save(self, sink) -> None:
-        """Write a self-describing JSON archive; deterministic byte-for-byte."""
-        corpus = self.corpus
-        order, _ = sort_groups(corpus.keys)
+        """Write the published state as a JSON archive; deterministic byte-for-byte."""
+        state = self._state
+        order, _ = sort_groups(state.corpus.keys)
+        dims = lambda ds, sizes: [{"name": d.name, "values": d.values[:n]} for d, n in zip(ds, sizes)]
         payload = {
             "format": ARCHIVE_FORMAT,
             "version": ARCHIVE_VERSION,
             "hyper": {"h": self.hyper.h, "b": self.hyper.b, "p": self.hyper.p},
-            "target_dims": [
-                {"name": d.name, "values": d.values} for d in self.vocab.target_dims
-            ],
-            "feature_dims": [
-                {"name": d.name, "values": d.values} for d in self.vocab.feature_dims
-            ],
+            "target_dims": dims(self.vocab.target_dims, state.shape[0]),
+            "feature_dims": dims(self.vocab.feature_dims, state.shape[1]),
             "policy": self.policy.to_lists(),
             "corpus": list(
                 zip(
-                    corpus.targets[order].tolist(),
-                    corpus.features[order].tolist(),
-                    corpus.weights[order].tolist(),
+                    state.corpus.targets[order].tolist(),
+                    state.corpus.features[order].tolist(),
+                    state.corpus.weights[order].tolist(),
                 )
             ),
         }
@@ -654,15 +667,21 @@ def load(source) -> Model:
             f"unsupported archive version {payload.get('version')!r}"
         )
     try:
-        vocab = Vocabulary()
-        for spec in payload["target_dims"]:
-            d = vocab.target_dim(spec["name"], create=True)
-            for value in spec["values"]:
-                vocab.target_dims[d].encode(value, grow=True)
-        for spec in payload["feature_dims"]:
-            d = vocab.feature_dim(spec["name"], create=True)
-            for value in spec["values"]:
-                vocab.feature_dims[d].encode(value, grow=True)
+        vocab, archived = Vocabulary(), []
+        for specs, dims, add_dim in (
+            (payload["target_dims"], vocab.target_dims, vocab.target_dim),
+            (payload["feature_dims"], vocab.feature_dims, vocab.feature_dim),
+        ):
+            for spec in specs:
+                dim = dims[add_dim(spec["name"], create=True)]
+                for value in spec["values"]:
+                    dim.encode(value, grow=True)
+                archived.append(spec["values"])
+        # a repeated name or value leaves fewer dimensions or values than archived
+        dims = vocab.target_dims + vocab.feature_dims
+        strings = chain([d.name for d in dims], *archived)
+        if [d.values for d in dims] != archived or not {str}.issuperset(map(type, strings)):
+            raise ValueError("dimension names and values must be distinct strings")
         hyper = Hyperparams(**payload["hyper"])
         corpus = SparseCounts.from_cells(vocab.n_target_dims, vocab.n_feature_dims, payload["corpus"])
         phases = PhaseTable(
@@ -673,5 +692,5 @@ def load(source) -> Model:
         )
         policy = Policy.from_lists(payload["policy"])
         return Model(corpus, vocab, hyper=hyper, phases=phases, policy=policy)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArchiveError(f"malformed model archive: {exc}") from exc

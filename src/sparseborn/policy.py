@@ -10,6 +10,7 @@ average reward on a validation set, then returns the reversed chain.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
@@ -66,7 +67,8 @@ class Policy:
 
     @classmethod
     def from_lists(cls, lists: Sequence[Sequence[int]]) -> "Policy":
-        return cls(tuple(frozenset(s) for s in lists))
+        """Build from lists of dimension ordinals; anything but an integer raises TypeError."""
+        return cls(tuple(frozenset(map(operator.index, s)) for s in lists))
 
 
 def p_norm_loss(x: Mapping[Index, float], xhat: Mapping[Index, float], p: float) -> float:

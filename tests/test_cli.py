@@ -102,6 +102,23 @@ def test_explain_global_and_errors(zoo_csv, tmp_path, capsys):
     assert "Mammal" in err  # lists valid targets
 
 
+def test_archive_with_non_string_labels_fails_with_one_error_line(zoo_csv, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    run(capsys, "train", "--data", zoo_csv, "--targets", "class", "--model", str(model))
+    payload = json.loads(model.read_text())
+    payload["target_dims"][0]["values"] = list(range(len(payload["target_dims"][0]["values"])))
+    model.write_text(json.dumps(payload))
+    queries = tmp_path / "queries.csv"
+    queries.write_text("class,hair,legs\n,1,4\n")
+    for argv in (
+        ["predict", "--data", str(queries), "--targets", "class", "--out", str(tmp_path / "p.tsv")],
+        ["explain", "--targets", "1"],
+    ):
+        code, _, err = run(capsys, *argv, "--model", str(model))
+        assert code == 1
+        assert err.startswith("error: malformed model archive") and err.count("\n") == 1, err
+
+
 def test_explain_local_and_aggregate(zoo_csv, tmp_path, capsys):
     model = str(tmp_path / "model.json")
     run(capsys, "train", "--data", zoo_csv, "--targets", "class", "--model", model)

@@ -13,6 +13,7 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -129,6 +130,9 @@ def test_traced_workload_reports_every_layer_metric(monkeypatch, tmp_path):
     assert tracer.absent == set()
     metrics, _, absent = layer_metrics(tracer, measured)
     assert absent == []
+    for name, value in metrics.items():  # a NaN or an infinity would not be a JSON result
+        assert isinstance(value, (int, float)) and math.isfinite(value), name
+    json.dumps(metrics, allow_nan=False)
     for name in ("model.query_arrays_s", "kernels.s", "kernels.entries_touched"):
         assert metrics[name] > 0, name
     assert metrics["kernels.calls"] == len(summed)
