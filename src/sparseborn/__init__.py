@@ -8,7 +8,7 @@ predictions fall back along a contraction policy, down to the raw target
 marginal.
 """
 from ._kernels import BACKEND as KERNEL_BACKEND
-from .counts import SparseCounts, accumulate
+from .counts import SparseCounts
 from .data import (
     EncodedObservation,
     RawRecord,
@@ -52,14 +52,13 @@ from .model import (
     load,
     weight_tensor,
 )
-from .policy import Policy, PolicySearchReport, apply_step, learn_policy, p_norm_loss
+from .policy import Policy, PolicySearchReport, learn_policy, p_norm_loss
 
 __version__ = "0.1.0"
 
 __all__ = [
     "KERNEL_BACKEND",
     "SparseCounts",
-    "accumulate",
     "EncodedObservation",
     "RawRecord",
     "Vocabulary",
@@ -95,7 +94,6 @@ __all__ = [
     "weight_tensor",
     "Policy",
     "PolicySearchReport",
-    "apply_step",
     "learn_policy",
     "p_norm_loss",
     "__version__",

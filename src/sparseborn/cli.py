@@ -71,10 +71,6 @@ def _out_stream(path):
     return open(path, "w", encoding="utf-8"), True
 
 
-def _label_str(label) -> str:
-    return "|".join(label) if isinstance(label, tuple) else str(label)
-
-
 def cmd_train(args) -> int:
     records = _load_records(args.data, args)
     vocab = data_mod.Vocabulary()
@@ -104,7 +100,7 @@ def cmd_predict(args) -> int:
         for idx, (ranked, dist, depth) in enumerate(results):
             row = [str(idx), str(depth)]
             for t in ranked:
-                row += [_label_str(model.vocab.decode_target(t)), f"{dist[t]:.12g}"]
+                row += [eval_mod._label_str(model.vocab.decode_target(t)), f"{dist[t]:.12g}"]
             for _ in range(args.top_k - len(ranked)):
                 row += ["", ""]
             stream.write("\t".join(row) + "\n")
@@ -117,9 +113,9 @@ def cmd_predict(args) -> int:
 def _write_attributions(stream, rows: Sequence[explain_mod.FeatureAttribution]) -> None:
     stream.write("\t".join(["target", "feature", "score", "share", "angle"]) + "\n")
     for r in rows:
-        target = _label_str(r.target) if r.target is not None else ""
+        target = eval_mod._label_str(r.target) if r.target is not None else ""
         values = [f"{v:.12g}" for v in (r.score, r.share, r.angle)]
-        stream.write("\t".join([target, _label_str(r.feature), *values]) + "\n")
+        stream.write("\t".join([target, eval_mod._label_str(r.feature), *values]) + "\n")
 
 
 def cmd_explain(args) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -181,13 +181,8 @@ class SparseCounts:
                 f"shape ({self.target_dims},{self.feature_dims})"
             )
 
-    def add(self, tgt: Index, feat: Index, weight: float) -> None:
-        """Accumulate ``weight`` at one cell; a zero weight stores nothing."""
-        self._check_key(tgt, feat)
-        self.add_rows([tuple(tgt) + tuple(feat)], [weight])
-
     def add_rows(self, keys, weights) -> "SparseCounts":
-        """Bitwise the same as one :meth:`add` per row, in row order, but all-or-nothing.
+        """Accumulate each row's weight at its cell, in row order; all-or-nothing.
 
         A key row is the target then the feature coordinates.  The rows are
         checked in full before the arrays are replaced by new ones.
@@ -213,9 +208,6 @@ class SparseCounts:
             and self.feature_dims == other.feature_dims
         )
 
-    def total_weight(self) -> float:
-        return sum(self.weights.tolist())
-
     def __len__(self) -> int:
         return len(self.weights)
 
@@ -236,21 +228,14 @@ class SparseCounts:
         return SparseCounts._of(self.target_dims, self.feature_dims, self._keys, self._weights)
 
     def iadd(self, other: "SparseCounts") -> "SparseCounts":
-        """In-place entrywise accumulation; see :func:`accumulate`."""
+        """In-place entrywise sum.  No code in the package calls it, but perfbench's
+        tracer wraps it by name, as it does :meth:`keep_feature_dims`."""
         if not self.same_shape(other):
             raise ShapeError(
                 f"cannot accumulate ({other.target_dims},{other.feature_dims}) "
                 f"into ({self.target_dims},{self.feature_dims})"
             )
         return self.add_rows(other._keys, other._weights)
-
-    def contract_feature_dim(self, k: int) -> "SparseCounts":
-        """Sum out feature dimension ``k``, preserving total weight."""
-        if not 0 <= k < self.feature_dims:
-            raise ShapeError(
-                f"feature dimension {k} out of range [0, {self.feature_dims})"
-            )
-        return self.keep_feature_dims(d for d in range(self.feature_dims) if d != k)
 
     def keep_feature_dims(self, keep: Iterable[int]) -> "SparseCounts":
         """Contract every feature dimension not listed in ``keep``."""
@@ -261,20 +246,3 @@ class SparseCounts:
         columns = list(range(self.target_dims)) + [self.target_dims + d for d in kept]
         cells = _coalesce(self._keys[:, columns], self._weights)
         return SparseCounts._of(self.target_dims, len(kept), *cells)
-
-    def _marginal(self, columns: Sequence[int] | slice) -> Dict[Index, float]:
-        cells, totals = _coalesce(self._keys[:, columns], self._weights)
-        return dict(zip(row_tuples(cells), totals.tolist()))
-
-    def marginal_over_targets(self) -> Dict[Index, float]:
-        """Per feature multi-index, the weight summed over all targets."""
-        return self._marginal(slice(self.target_dims, None))
-
-    def marginal_over_features(self) -> Dict[Index, float]:
-        """Per target multi-index, the weight summed over all features."""
-        return self._marginal(slice(None, self.target_dims))
-
-
-def accumulate(acc: SparseCounts, obs: SparseCounts) -> SparseCounts:
-    """Entrywise sum of two tensors of identical shape."""
-    return acc.copy().iadd(obs)

@@ -14,7 +14,7 @@ import math
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -88,6 +88,8 @@ class Vocabulary:
         self.feature_dims: List[Dimension] = []
         self._target_by_name: Dict[str, int] = {}
         self._feature_by_name: Dict[str, int] = {}
+        # the shape a model last published over this vocabulary; a failed update truncates to it
+        self.published: Tuple[Tuple[int, ...], Tuple[int, ...]] | None = None
 
     def target_dim(self, name: str, create: bool = False) -> int | None:
         idx = self._target_by_name.get(name)
@@ -252,6 +254,11 @@ class EncodedObservation:
             cells = out if out is not None else {prefix: factor}
             out = {p + (i,): w * wi for p, w in cells.items() for i, wi in dim_map.items()}
         return out if out is not None else {prefix: factor}
+
+    def known(self, sizes: Sequence[int]) -> "EncodedObservation":
+        """A copy without the feature values at or past ``sizes``, as encoding drops unknown ones."""
+        maps = tuple({i: w for i, w in m.items() if i < n} for m, n in zip(self.feature_weights, sizes))
+        return replace(self, feature_weights=maps)
 
     def counts(self, target_dims: int, feature_dims: int) -> SparseCounts:
         """Materialize the joint counts X as a sparse tensor."""

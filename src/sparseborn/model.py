@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -83,14 +84,15 @@ class PhaseTable:
     """Sparse phase angles per (target, feature) multi-index pair; absent = 0."""
 
     def __init__(self, phi: Mapping[Tuple[Index, Index], float] | None = None):
-        self.entries: Dict[Tuple[Index, Index], float] = {}
+        entries: Dict[Tuple[Index, Index], float] = {}
         if phi:
             for key, angle in phi.items():
                 angle = float(angle)
                 if not math.isfinite(angle):
                     raise ValueError("phase angles must be finite")
                 if angle != 0.0:
-                    self.entries[(tuple(key[0]), tuple(key[1]))] = angle
+                    entries[(tuple(key[0]), tuple(key[1]))] = angle
+        self.entries: Mapping[Tuple[Index, Index], float] = MappingProxyType(entries)
 
     def get(self, tgt: Index, feat: Index) -> float:
         return self.entries.get((tgt, feat), 0.0)
@@ -347,16 +349,35 @@ class Model:
             raise ShapeError("corpus shape does not match vocabulary")
         self._state = _State(corpus, vocab.shape())
         _check_indices(corpus.keys, self._state.shape)
-        self.vocab = vocab
-        self.hyper = hyper or Hyperparams()
-        self.phases = phases or PhaseTable()
-        if self.phases:
-            _check_phases(self.phases, self._state.shape)
+        self._hyper = hyper or Hyperparams()
+        self._phases = phases or PhaseTable()
+        if self._phases:
+            _check_phases(self._phases, self._state.shape)
         self.policy = policy or Policy.default(vocab.n_feature_dims)
-        if self.policy.n_dims != vocab.n_feature_dims:
-            raise ShapeError("policy dimension count does not match vocabulary")
+        self.vocab = vocab
+        vocab.published = self._state.shape
 
     # -- bookkeeping ---------------------------------------------------
+
+    @property
+    def hyper(self) -> Hyperparams:
+        """Fixed per model: its level tables are built with it."""
+        return self._hyper
+
+    @property
+    def phases(self) -> PhaseTable:
+        """Fixed per model, like :attr:`hyper`."""
+        return self._phases
+
+    @property
+    def policy(self) -> Policy:
+        return self._policy
+
+    @policy.setter
+    def policy(self, policy: Policy) -> None:
+        if policy.n_dims != self.n_feature_dims:
+            raise ShapeError("policy dimension count does not match vocabulary")
+        self._policy = policy
 
     @property
     def corpus(self) -> SparseCounts:
@@ -385,10 +406,6 @@ class Model:
                         f"feature index {idx} out of bounds for dimension "
                         f"{self.vocab.feature_dims[d].name!r} (size {size})"
                     )
-
-    def target_marginal(self) -> Dict[Index, float]:
-        """Raw per-target corpus weight (exact, order-independent sums)."""
-        return self._state.marginal
 
     def target_prior(self) -> Dict[Index, float]:
         """Normalized target marginal: the terminal fallback distribution."""
@@ -502,6 +519,8 @@ class Model:
         state = state or self._state
         for obs in queries:
             self._check_query(obs)
+        if self.vocab.shape()[1] != state.shape[1]:  # drop values added since, as a reload would
+            queries = [obs.known(state.shape[1]) for obs in queries]
         pending = list(range(len(queries)))
         for depth, keep in enumerate(self.policy.steps):
             if not pending:
@@ -579,7 +598,7 @@ class Model:
         The published counts are copied, not changed, so predictions already
         started finish on them.  All-or-nothing: a call that raises publishes
         nothing, and the vocabulary loses whatever was added to it (by
-        ``encode(grow=True)``) since the published state.
+        ``encode(grow=True)``) since a model last published over it.
         """
         state = self._state
         try:
@@ -587,9 +606,9 @@ class Model:
             _check_indices(keys, self.vocab.shape())
             published = _State(state.corpus.copy().add_rows(keys, weights), self.vocab.shape())
         except BaseException:
-            self.vocab.truncate(state.shape)
+            self.vocab.truncate(self.vocab.published)
             raise
-        self._state = published
+        self._state, self.vocab.published = published, published.shape
         return self
 
     # -- persistence ---------------------------------------------------

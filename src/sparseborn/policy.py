@@ -80,35 +80,6 @@ def p_norm_loss(x: Mapping[Index, float], xhat: Mapping[Index, float], p: float)
     return 0.5 * total ** (1.0 / p)
 
 
-def apply_step(obs: EncodedObservation, keep: Iterable[int]) -> EncodedObservation:
-    """Contract every feature dimension of ``obs`` not in ``keep``.
-
-    Dropped dimensions fold their total mass into the scale (a dimension
-    with no encodable values folds factor 1); the terminal step returns the
-    scalar observation with weight 1, its total weight being irrelevant by
-    scale invariance.  Phases of merged entries are reset to zero.
-    """
-    kept = sorted(set(keep))
-    for d in kept:
-        if not 0 <= d < obs.n_feature_dims:
-            raise ShapeError(f"feature dimension {d} out of range")
-    if not kept:
-        return EncodedObservation(
-            label_weights=tuple(dict(m) for m in obs.label_weights),
-            feature_weights=(),
-            scale=1.0,
-        )
-    scale = obs.scale
-    for d, dim_map in enumerate(obs.feature_weights):
-        if d not in kept and dim_map:
-            scale *= sum(dim_map.values())
-    return EncodedObservation(
-        label_weights=tuple(dict(m) for m in obs.label_weights),
-        feature_weights=tuple(dict(obs.feature_weights[d]) for d in kept),
-        scale=scale,
-    )
-
-
 @dataclass
 class PolicySearchReport:
     """Trace of the greedy policy search."""

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +59,7 @@ def test_train_is_byte_identical(zoo_csv, tmp_path, capsys):
             capsys, "train", "--data", zoo_csv, "--targets", "class", "--model", m
         )
         assert code == 0, err
-    assert open(m1, "rb").read() == open(m2, "rb").read()
+    assert Path(m1).read_bytes() == Path(m2).read_bytes()
 
 
 def test_train_empty_inputs_fail(tmp_path, capsys):
@@ -152,7 +153,7 @@ def test_learn_policy_matrix_chain(zoo_csv, tmp_path, capsys):
     assert "[[0], []]" in out
     text = report.read_text()
     assert "p=2.0" in text and "{0}" in text
-    payload = json.loads(open(model).read())
+    payload = json.loads(Path(model).read_text())
     assert payload["policy"] == [[0], []]
 
 

@@ -7,12 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import DictCounts
-from sparseborn.counts import SparseCounts, accumulate
+from sparseborn.counts import SparseCounts
 from sparseborn.errors import ShapeError
 
 
 def tensor(entries, target_dims=1, feature_dims=1):
     return SparseCounts(target_dims, feature_dims, entries)
+
+
+def accumulate(acc, obs):
+    """Entrywise sum of two tensors of one shape, leaving both unchanged."""
+    return acc.copy().iadd(obs)
 
 
 def test_accumulate_empty_identity():
@@ -37,37 +42,40 @@ def test_accumulate_shape_mismatch():
 
 def test_no_zero_entries_stored():
     t = tensor({})
-    t.add((0,), (0,), 0.0)
+    t.add_rows([(0, 0)], [0.0])
     assert len(t) == 0
     with pytest.raises(ValueError):
-        t.add((0,), (0,), -1.0)
+        t.add_rows([(0, 0)], [-1.0])
 
 
 def test_contract_feature_dim():
     t = SparseCounts(1, 2, {((0,), (1, 2)): 3.0, ((0,), (1, 5)): 4.0})
-    out = t.contract_feature_dim(1)
+    out = t.keep_feature_dims([0])
     assert out.feature_dims == 1
     assert out.entries == {((0,), (1,)): 7.0}
 
 
 def test_contract_to_marginal():
     t = tensor({((0,), (1,)): 3.0, ((1,), (2,)): 4.0})
-    out = t.contract_feature_dim(0)
+    out = t.keep_feature_dims([])
     assert out.feature_dims == 0
     assert out.entries == {((0,), ()): 3.0, ((1,), ()): 4.0}
 
 
 def test_contract_out_of_range():
     with pytest.raises(ShapeError):
-        tensor({}).contract_feature_dim(1)
+        tensor({}).keep_feature_dims([1])
+
+
+def target_marginal(t):
+    """Per target multi-index, the weight summed over all features."""
+    return {tgt: w for (tgt, _), w in t.keep_feature_dims(()).entries.items()}
 
 
 def test_marginals_trivial():
-    t = tensor({((0,), (1,)): 2.0, ((1,), (1,)): 6.0})
-    assert t.marginal_over_targets() == {(1,): 8.0}
     t2 = tensor({((0,), (1,)): 2.0, ((0,), (3,)): 6.0})
-    assert t2.marginal_over_features() == {(0,): 8.0}
-    assert tensor({}).marginal_over_targets() == {}
+    assert target_marginal(t2) == {(0,): 8.0}
+    assert target_marginal(tensor({})) == {}
 
 
 def test_marginals_match_dense_sums():
@@ -81,10 +89,7 @@ def test_marginals_match_dense_sums():
             if dense[i, j] > 0
         }
     )
-    cols = t.marginal_over_targets()
-    rows = t.marginal_over_features()
-    for j in range(6):
-        assert cols.get((j,), 0.0) == pytest.approx(dense[:, j].sum())
+    rows = target_marginal(t)
     for i in range(4):
         assert rows.get((i,), 0.0) == pytest.approx(dense[i, :].sum())
 
@@ -115,16 +120,15 @@ def test_accumulate_associative_commutative(e1, e2, e3):
 @given(entries_2d, st.integers(0, 1))
 def test_contract_preserves_total_weight(e, k):
     t = SparseCounts(1, 2, {key: float(v) for key, v in e.items()})
-    assert t.contract_feature_dim(k).total_weight() == t.total_weight()
+    total = sum(t.weights.tolist())
+    assert sum(t.keep_feature_dims([1 - k]).weights.tolist()) == total
 
 
 @settings(deadline=None, max_examples=60)
 @given(entries_2d)
 def test_marginal_totals_agree(e):
     t = SparseCounts(1, 2, {key: float(v) for key, v in e.items()})
-    total = t.total_weight()
-    assert sum(t.marginal_over_targets().values()) == total
-    assert sum(t.marginal_over_features().values()) == total
+    assert sum(target_marginal(t).values()) == sum(t.weights.tolist())
 
 
 @settings(deadline=None, max_examples=40)
@@ -135,26 +139,22 @@ def test_sparse_ops_match_dense_oracle(e):
     dense = np.zeros((3, 4, 4))
     for ((i,), (j0, j1)), w in t.entries.items():
         dense[i, j0, j1] = w
-    contracted = t.contract_feature_dim(1)
+    contracted = t.keep_feature_dims([0])
     expect = dense.sum(axis=2)
     for i in range(3):
         for j in range(4):
             assert contracted.entries.get(((i,), (j,)), 0.0) == pytest.approx(
                 expect[i, j]
             )
-    rows = t.marginal_over_features()
+    rows = target_marginal(t)
     for i in range(3):
         assert rows.get((i,), 0.0) == pytest.approx(dense[i].sum())
-    cols = t.marginal_over_targets()
-    for j0 in range(4):
-        for j1 in range(4):
-            assert cols.get((j0, j1), 0.0) == pytest.approx(dense[:, j0, j1].sum())
 
 
 def test_non_finite_weights_rejected():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
-            tensor({}).add((0,), (0,), bad)
+            tensor({((0,), (0,)): bad})
         with pytest.raises(ValueError):
             SparseCounts(1, 1).add_rows([(0, 0)], [bad])
 
@@ -200,7 +200,7 @@ def test_columnar_counts_match_dict_accumulator_bitwise(program, data):
     for op in ops:
         if op[0] == "add":
             (tgt, feat), weight = op[1]
-            counts.add(tgt, feat, weight)
+            counts.add_rows([tgt + feat], [weight])
             ref.add(tgt, feat, weight)
         elif op[0] == "iadd":
             counts.iadd(SparseCounts(t_dims, f_dims, op[1]))
@@ -210,6 +210,3 @@ def test_columnar_counts_match_dict_accumulator_bitwise(program, data):
     assert bits(counts) == bits(ref)
     keep = data.draw(st.sets(st.integers(0, f_dims - 1)))
     assert bits(counts.keep_feature_dims(keep)) == bits(ref.keep_feature_dims(keep))
-    k = data.draw(st.integers(0, f_dims - 1))
-    contracted = ref.keep_feature_dims(set(range(f_dims)) - {k})
-    assert bits(counts.contract_feature_dim(k)) == bits(contracted)

@@ -902,3 +902,73 @@ def test_failed_update_forgets_grown_vocabulary_and_saves_loadable_archive():
     more = RawRecord(labels=[("label", "c")], features=[("token", "w", 1.0)])
     model.update(encode([more], model.vocab, grow=True))
     assert model.vocab.shape() == ((3,), (4,))
+
+
+def test_hyper_and_phases_are_fixed_per_model():
+    model = make_model({((0,), (0,)): 3.0, ((1,), (1,)): 1.0}, 2, [2], phases={((0,), (0,)): 0.5})
+    q = query_obs({(0,): 1.0, (1,): 1.0})
+    before = model.predict(q).distribution  # warms the full-level table
+    with pytest.raises(AttributeError):
+        model.hyper = Hyperparams(0, 0, 1)
+    with pytest.raises(AttributeError):
+        model.phases = PhaseTable()
+    with pytest.raises(TypeError):
+        model.phases.entries[((1,), (1,))] = 1.0
+    assert model.predict(q).distribution == before
+    # another setting is another model over the same counts
+    view = Model(model.corpus, model.vocab, hyper=Hyperparams(0, 0, 1), phases=model.phases)
+    fresh = make_model(dict(model.corpus.entries), 2, [2], 0, 0, 1, phases={((0,), (0,)): 0.5})
+    assert view.predict(q).distribution == fresh.predict(q).distribution
+
+
+def test_policy_assignment_checks_the_dimension_count():
+    model = make_model({((0,), (0,)): 1.0, ((1,), (1,)): 1.0}, 2, [2])
+    with pytest.raises(ShapeError):
+        model.policy = Policy.default(2)
+    assert model.policy == Policy.default(1)
+    archive = io.StringIO()
+    model.save(archive)
+    q = query_obs({(1,): 1.0})
+    assert load(io.StringIO(archive.getvalue())).predict(q).distribution == model.predict(q).distribution
+
+
+def test_failed_update_of_a_view_keeps_what_another_model_published():
+    vocab = Vocabulary()
+    model = fit(encode(two_label_records(), vocab, grow=True), vocab)
+    view = Model(model.corpus, model.vocab, hyper=Hyperparams(0, 0, 1))
+    new_label = RawRecord(labels=[("label", "c")], features=[("token", "x", 1.0)])
+    model.update(encode([new_label], model.vocab, grow=True))
+    new_dim = RawRecord(labels=[("label", "a"), ("topic", "t")], features=[("token", "x", 1.0)])
+    with pytest.raises(SchemaError):
+        view.update(encode([new_dim], view.vocab, grow=True))
+    assert model.vocab.shape() == ((3,), (3,))
+    archive = io.StringIO()
+    model.save(archive)
+    loaded = load(io.StringIO(archive.getvalue()))
+    records = two_label_records() + [new_label]
+    assert [loaded.predict(q).distribution for q in encode(records, loaded.vocab)] == [
+        model.predict(q).distribution for q in encode(records, model.vocab)
+    ]
+
+
+def test_view_ignores_values_published_after_it_as_its_reload_does():
+    records = [
+        RawRecord(labels=[("label", "a")], features=[("token", "x", 1.0), ("color", "red", 1.0)]),
+        RawRecord(labels=[("label", "b")], features=[("token", "y", 3.0), ("color", "blue", 1.0)]),
+        RawRecord(labels=[("label", "a")], features=[("token", "z", 0.5), ("color", "blue", 1.0)]),
+        RawRecord(labels=[("label", "b")], features=[("token", "w", 2.0), ("color", "red", 1.0)]),
+    ]
+    vocab = Vocabulary()
+    model = fit(encode(records, vocab, grow=True), vocab)
+    # the fallback step drops the token dimension, folding its total into the scale
+    policy = Policy.from_lists([[0, 1], [1], []])
+    view = Model(model.corpus, model.vocab, hyper=Hyperparams(0.5, 2, 0.25), policy=policy)
+    archive = io.StringIO()
+    view.save(archive)
+    reloaded = load(io.StringIO(archive.getvalue()))
+    new_token = RawRecord(labels=[("label", "b")], features=[("token", "q", 1.0), ("color", "red", 1.0)])
+    model.update(encode([new_token], model.vocab, grow=True))
+    query = [RawRecord(labels=[], features=[("token", "y", 1.0), ("token", "q", 0.5), ("color", "red", 1.0)])]
+    [(_, dist, depth)] = view.predict_batch(encode(query, view.vocab))
+    assert depth == 1
+    assert reloaded.predict_batch(encode(query, reloaded.vocab)) == [(_, dist, depth)]

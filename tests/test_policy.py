@@ -1,4 +1,4 @@
-"""Fallback policies: p-norm loss, observation contraction, greedy search."""
+"""Fallback policies: p-norm loss, query contraction, greedy search."""
 import math
 
 import numpy as np
@@ -8,7 +8,7 @@ from helpers import labeled_obs, make_model
 from sparseborn.data import EncodedObservation, RawRecord, Vocabulary, encode
 from sparseborn.errors import InvalidRecordError, ShapeError
 from sparseborn.model import Hyperparams, fit
-from sparseborn.policy import Policy, apply_step, learn_policy, p_norm_loss
+from sparseborn.policy import Policy, learn_policy, p_norm_loss
 
 
 def test_policy_validation():
@@ -34,21 +34,7 @@ def test_p_norm_loss_examples():
     assert got == pytest.approx(0.2828, abs=5e-5)
 
 
-def test_apply_step_identity_and_terminal():
-    obs = EncodedObservation(
-        label_weights=({0: 1.0},),
-        feature_weights=({0: 2.0}, {1: 3.0}),
-        scale=0.5,
-    )
-    same = apply_step(obs, [0, 1])
-    assert same.feature_weights == obs.feature_weights
-    assert same.scale == obs.scale
-    terminal = apply_step(obs, [])
-    assert terminal.feature_weights == ()
-    assert terminal.scale == 1.0
-
-
-def test_apply_step_matches_dense_marginalization():
+def test_features_at_matches_dense_marginalization():
     obs = EncodedObservation(
         label_weights=(),
         feature_weights=({0: 2.0, 1: 1.0}, {0: 4.0, 2: 0.5}),
@@ -58,17 +44,10 @@ def test_apply_step_matches_dense_marginalization():
     for j0, w0 in obs.feature_weights[0].items():
         for j1, w1 in obs.feature_weights[1].items():
             dense[j0, j1] = w0 * w1
-    stepped = apply_step(obs, [0])
-    got = stepped.features_at([0])
+    got = obs.features_at([0])
     expect = dense.sum(axis=1)
     for j0 in range(2):
         assert got.get((j0,), 0.0) == pytest.approx(expect[j0], rel=1e-12)
-
-
-def test_apply_step_out_of_range():
-    obs = EncodedObservation(label_weights=(), feature_weights=({0: 1.0},))
-    with pytest.raises(ShapeError):
-        apply_step(obs, [2])
 
 
 def make_two_dim_dataset(rng, n=120, noise_card=4, signal_card=3):

@@ -33,7 +33,7 @@ def test_zoo_corpus_total_weight_matches_cooccurrence_count():
     model = fit(observations, vocab)
     # independent pass: one co-occurrence per (row, attribute) per label
     expected = sum(len(rec.features) * len(rec.labels) for rec in records)
-    assert model.corpus.total_weight() == pytest.approx(expected, rel=1e-12)
+    assert sum(model.corpus.weights.tolist()) == pytest.approx(expected, rel=1e-12)
     assert expected == 101 * 16
 
 
