@@ -131,6 +131,9 @@ def cmd_explain(args) -> int:
         elif args.explain_mode == "discriminative":
             rows = explain_mod.discriminative_features(model, args.top_k)
         else:
+            if args.data is None:
+                print(f"error: {args.explain_mode} explanation needs --data", file=sys.stderr)
+                return 1
             records = _load_records(args.data, args)
             observations = data_mod.encode(records, model.vocab, grow=False)
             if args.explain_mode == "local":

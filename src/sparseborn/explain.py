@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -58,31 +59,23 @@ def _check_k(k: int | None) -> None:
         raise ValueError("k must be >= 1")
 
 
-def _target_addends(level, q: int, target_index: Index):
-    """Cells, moduli and angles of query q's addends for one target.
+def _ranked(model: Model, target_index, feats, scores, k, angles=None, kept=None):
+    """Attributions of the k candidates of highest score; shares are over all of them.
 
-    A query feature with no stored entry for the target has no addend.
+    ``feats`` ascend, so the stable sort breaks score ties by feature index.
+    ``kept`` gives each candidate's level (None: the full level), ``angles`` its angle (None: 0).
     """
-    cell, rows, modulus, angle = level.addends(q)
-    target_ids = level.table.target_ids
-    hit = rows == (target_ids.index(target_index) if target_index in target_ids else -1)
-    return cell[hit], modulus[hit], angle[hit]
-
-
-def _top_columns(model: Model, table, scores, k, target_index=None, angles=None):
-    """Attributions of the k full-level columns of highest score.
-
-    Columns are in feature index order, so the stable sort breaks ties by it.
-    """
-    total = math.fsum(scores.tolist())
+    values = scores.tolist()
+    total = math.fsum(values)
+    order = (-scores).argsort(kind="stable")[:k]
+    thetas = angles[order].tolist() if angles is not None else [0.0] * len(order)
     decoded = model.vocab.decode_target(target_index) if target_index is not None else None
     return [
         FeatureAttribution(
-            decoded, target_index, model.vocab.decode_feature(table.feat_ids[j]), table.feat_ids[j],
-            float(scores[j]), float(scores[j]) / total if total > 0 else 0.0,
-            float(angles[j]) if angles is not None else 0.0,
+            decoded, target_index, model.vocab.decode_feature(feats[j], kept[j] if kept else None),
+            feats[j], values[j], values[j] / total if total > 0 else 0.0, theta,
         )
-        for j in np.argsort(-scores, kind="stable")[:k].tolist()
+        for j, theta in zip(order.tolist(), thetas)
     ]
 
 
@@ -102,28 +95,9 @@ def explain_local(
     if level is None:
         return []
     target_index = level.top(q) if target is None else _resolve_target(model, target)
-    start, stop = level.span(q)
-    n = stop - start
-    scores = [0.0] * n
-    angles = level.qtheta[start:stop].tolist() if level.qtheta is not None else [0.0] * n
-    cells, modulus, angle = _target_addends(level, q, target_index)
-    for j, score, theta in zip((cells - start).tolist(), modulus.tolist(), angle.tolist()):
-        scores[j], angles[j] = score, theta
-    # qcols ascend and columns are ranked in feature index order, so the
-    # stable sort breaks score ties by feature index
-    order = sorted(range(n), key=scores.__getitem__, reverse=True)[:k]
-    cols = level.qcols[start:stop].tolist()
-    total = math.fsum(scores)
-    decoded, kept = model.vocab.decode_target(target_index), level.kept
-    rows = []
-    for j in order:
-        feat = level.table.feat_ids[cols[j]]
-        feature = model.vocab.decode_feature(feat, kept)
-        share = scores[j] / total if total > 0 else 0.0
-        rows.append(
-            FeatureAttribution(decoded, target_index, feature, feat, scores[j], share, angles[j])
-        )
-    return rows
+    cols, modulus, angle, _ = level.attribution(q, target_index)
+    feats = [level.table.feat_ids[c] for c in cols.tolist()]
+    return _ranked(model, target_index, feats, modulus, k, angle, [level.kept] * len(feats))
 
 
 def explain_global(model: Model, target, k: int | None = None) -> List[FeatureAttribution]:
@@ -131,15 +105,8 @@ def explain_global(model: Model, target, k: int | None = None) -> List[FeatureAt
     _check_k(k)
     target_index = _resolve_target(model, target)
     table = model._table(frozenset(range(model.n_feature_dims)))
-    scores = np.zeros(len(table.feat_ids))
-    angles = np.zeros(len(table.feat_ids))
-    if target_index in table.target_ids:
-        entries = np.flatnonzero(table.rows == table.target_ids.index(target_index))
-        cols = np.searchsorted(table.col_ptr, entries, side="right") - 1
-        scores[cols] = table.amp[entries]
-        if table.phi is not None:
-            angles[cols] = table.phi[entries]
-    return _top_columns(model, table, scores, k, target_index, angles)
+    scores, angles = table.target_weights(target_index)
+    return _ranked(model, target_index, table.feat_ids, scores, k, angles)
 
 
 def discriminative_features(model: Model, k: int) -> List[FeatureAttribution]:
@@ -148,7 +115,7 @@ def discriminative_features(model: Model, k: int) -> List[FeatureAttribution]:
         raise ValueError("discriminative ranking is undefined with h=0 (all weights are 1)")
     _check_k(k)
     table = model._table(frozenset(range(model.n_feature_dims)))
-    return _top_columns(model, table, table.entropy ** model.hyper.h, k)
+    return _ranked(model, None, table.feat_ids, table.entropy ** model.hyper.h, k)
 
 
 def aggregate_local(
@@ -157,38 +124,27 @@ def aggregate_local(
     """Sum local scores over queries, grouped by each query's predicted target.
 
     Each target's features are ranked by summed score; ``k`` keeps the top k.
+    Targets, and a feature's tied candidates from two policy levels, come in first-query order.
     """
     _check_k(k)
-    # (predicted, kept) -> (first query, feature sums); a bucket's queries all
-    # stop at one policy step, whose sub-batches come in query order
-    sums: Dict[Tuple[Index, Tuple[int, ...]], Tuple[int, Dict[Index, float]]] = {}
+    # (predicted, kept) -> (first query, feature ids, addend columns and moduli per query); a
+    # bucket's queries all stop at one policy step, whose sub-batches come in query order
+    buckets: Dict[Tuple[Index, Tuple[int, ...]], tuple] = {}
     for _, level, rows, queries_at in model.walk(queries):
         for q, i in zip(rows, queries_at) if level is not None else ():
             predicted = level.top(q)
-            cells, modulus, _ = _target_addends(level, q, predicted)
-            bucket = sums.setdefault((predicted, level.kept), (i, {}))[1]
-            for col, score in zip(level.qcols[cells].tolist(), modulus.tolist()):
-                feat = level.table.feat_ids[col]
-                bucket[feat] = bucket.get(feat, 0.0) + score
+            cols, modulus, _, addends = level.attribution(q, predicted)
+            bucket = buckets.setdefault((predicted, level.kept), (i, level.table.feat_ids, []))
+            bucket[2].append((cols[addends], modulus[addends]))
+    by_target: Dict[Index, list] = {}  # (feature, summed score, kept) candidates
+    for (t, kept), (_, ids, addends) in sorted(buckets.items(), key=lambda b: b[1][0]):
+        cols, modulus = map(np.concatenate, zip(*addends))
+        cols, inverse = np.unique(cols, return_inverse=True)
+        sums = np.bincount(inverse, modulus).tolist()  # adds in query order, as a running sum would
+        by_target.setdefault(t, []).extend(zip([ids[c] for c in cols.tolist()], sums, repeat(kept)))
     out: Dict[Tuple[str, ...], List[FeatureAttribution]] = {}
-    for (predicted, kept), (_, bucket) in sorted(sums.items(), key=lambda item: item[1][0]):
-        decoded_target = model.vocab.decode_target(predicted)
-        out.setdefault(decoded_target, []).extend(
-            FeatureAttribution(
-                target=decoded_target,
-                target_index=predicted,
-                feature=model.vocab.decode_feature(feat, kept),
-                feature_index=feat,
-                score=score,
-                share=0.0,
-            )
-            for feat, score in bucket.items()
-        )
-    for target, rows in out.items():
-        rows.sort(key=lambda r: (-r.score, r.feature_index))
-        total = math.fsum(r.score for r in rows)
-        if total > 0:
-            for r in rows:
-                r.share = r.score / total
-        out[target] = rows[:k]
+    for t, candidates in by_target.items():
+        candidates.sort(key=lambda c: c[0])  # stable: a feature's candidates keep their order
+        feats, sums, kept = zip(*candidates)
+        out[model.vocab.decode_target(t)] = _ranked(model, t, feats, np.array(sums), k, kept=kept)
     return out

@@ -197,6 +197,17 @@ class _LevelTable:
     phi: np.ndarray | None
     entropy: np.ndarray
 
+    def target_weights(self, target: Index) -> Tuple[np.ndarray, np.ndarray]:
+        """Each column's amplitude and phase for ``target``; 0 and 0 where it has no entry."""
+        amp, phi = np.zeros(len(self.feat_ids)), np.zeros(len(self.feat_ids))
+        if target in self.target_ids:
+            entries = np.flatnonzero(self.rows == self.target_ids.index(target))
+            cols = np.searchsorted(self.col_ptr, entries, side="right") - 1
+            amp[cols] = self.amp[entries]
+            if self.phi is not None:
+                phi[cols] = self.phi[entries]
+        return amp, phi
+
 
 class _State:
     """A published version of a model's counts, and what is derived from them on first
@@ -277,6 +288,24 @@ class _Level:
         angle = self.angle[lo:hi] if self.angle is not None else np.zeros(hi - lo)
         return cell, self.table.rows[self.entry[lo:hi]], self.modulus[lo:hi], angle
 
+    def attribution(self, q: int, target: Index):
+        """Query q's columns, ascending, with the modulus and angle of each one's addend
+        for ``target`` (0 and the query's phase where it has none), and the positions
+        among them of the columns that have one.
+        """
+        start, stop = self.span(q)
+        lo, hi = self._index[1][start], self._index[1][stop]
+        target_ids = self.table.target_ids
+        row = target_ids.index(target) if target in target_ids else -1
+        hit = (self.table.rows[self.entry[lo:hi]] == row).nonzero()[0]  # a column has one entry per row
+        addends = np.arange(stop - start).repeat(self.lengths[start:stop])[hit]
+        moduli = np.zeros(stop - start)
+        moduli[addends] = self.modulus[lo:hi][hit]
+        angles = self.qtheta[start:stop].copy() if self.qtheta is not None else np.zeros(stop - start)
+        if self.angle is not None:
+            angles[addends] = self.angle[lo:hi][hit]
+        return self.qcols[start:stop], moduli, angles, addends
+
     def contributions(self, q: int) -> Dict[Tuple[Index, Index], Tuple[float, float]]:
         cell, rows, modulus, angle = self.addends(q)
         cols = self.qcols[cell]
@@ -304,6 +333,8 @@ class Prediction:
 
     def top(self, k: int = 1) -> List[Tuple[Index, float]]:
         """Top-k targets by probability; ties go to the smaller multi-index."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
         ranked = sorted(self.distribution.items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[:k]
 

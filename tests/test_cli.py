@@ -211,9 +211,21 @@ def test_invalid_arguments_fail_with_one_line_error(zoo_csv, tmp_path, capsys):
         ["predict", "--data", zoo_csv, "--targets", "class", "--model", model, "--top-k", "0"],
         ["train", "--data", zoo_csv, "--targets", "class", "--model", model, "--h", "-1"],
         ["explain", "--model", model, "--explain-mode", "discriminative", "--top-k", "0"],
+        ["explain", "--model", model, "--explain-mode", "local"],
+        ["explain", "--model", model, "--explain-mode", "aggregate"],
+        ["learn-policy", "--model", model, "--data", zoo_csv, "--targets", "class", "--loss-p", "inf"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+def test_explain_modes_name_their_missing_input(zoo_csv, tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    run(capsys, "train", "--data", zoo_csv, "--targets", "class", "--model", model)
+    for mode, missing in (("global", "--targets"), ("local", "--data"), ("aggregate", "--data")):
+        code, out, err = run(capsys, "explain", "--model", model, "--explain-mode", mode)
+        assert (code, out) == (1, "")
+        assert err == f"error: {mode} explanation needs {missing}\n"
 
 
 def test_explain_rejects_top_k_below_one(zoo_csv, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Local and global feature attributions."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -222,3 +225,38 @@ def test_rankings_reject_k_below_one(k):
     assert len(explain_local(model, query, k=1)) == 1
     assert len(explain_global(model, (0,), k=1)) == 1
     assert [len(rows) for rows in aggregate_local(model, [query], k=1).values()] == [1]
+
+
+def test_every_ranking_breaks_ties_by_feature_index():
+    # target 0 holds feature 4 three times and features 0-3 once each, target 1
+    # feature 5: every feature is exclusive, so 0-3 tie for target 0 and all six
+    # tie on entropy
+    entries = {((0,), (j,)): 1.0 for j in range(4)}
+    entries.update({((0,), (4,)): 3.0, ((1,), (5,)): 1.0})
+    model = make_model(entries, 2, [6])
+    query = query_obs({(j,): 1.0 for j in (3, 1, 4, 0, 2)})
+    rankings = {
+        "local": (lambda k: explain_local(model, query, k=k), [4, 0, 1, 2, 3]),
+        "global": (lambda k: explain_global(model, (0,), k=k), [4, 0, 1, 2, 3, 5]),
+        "aggregate": (lambda k: aggregate_local(model, [query, query], k=k)[("c0",)], [4, 0, 1, 2, 3]),
+        "discriminative": (lambda k: discriminative_features(model, k or 6), [0, 1, 2, 3, 4, 5]),
+    }
+    for name, (rank, expected) in rankings.items():
+        rows = rank(None)
+        assert [r.feature_index for r in rows] == [(j,) for j in expected], name
+        assert abs(sum(r.share for r in rows) - 1.0) < 1e-12, name
+        # k cuts the ranking after shares are taken over every candidate
+        for k in range(1, len(rows) + 1):
+            assert rank(k) == rows[:k], (name, k)
+
+
+EXPLAIN_PY = Path(__file__).resolve().parents[1] / "src" / "sparseborn" / "explain.py"
+LAYOUT = {"span", "qcols", "qtheta", "col_ptr", "rows", "amp", "phi", "lengths", "entry", "_index"}
+
+
+def test_explanations_read_no_level_layout():
+    # explanations read a level only through _Level.attribution and
+    # _LevelTable.target_weights, so a new query or table layout leaves them as they are
+    tree = ast.parse(EXPLAIN_PY.read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert read & LAYOUT == set()

@@ -471,6 +471,15 @@ def test_predict_labels_top1():
     assert model.predict_labels(query_obs({(0,): 1.0}), k=1) == [("c0",)]
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_prediction_top_rejects_k_below_one(k):
+    # top(0) used to return nothing and top(-1) to drop the last target
+    model = make_model({((0,), (0,)): 2.0, ((1,), (0,)): 1.0}, 2, [1])
+    prediction = model.predict(query_obs({(0,): 1.0}))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        prediction.top(k)
+
+
 def test_predict_labels_tie_breaks_lexicographic():
     entries = {((0,), (0,)): 2.0, ((1,), (0,)): 2.0}
     model = make_model(entries, 2, [1], h=0, b=0, p=1)

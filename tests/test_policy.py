@@ -32,6 +32,9 @@ def test_p_norm_loss_examples():
     got = p_norm_loss({(0,): 0.6, (1,): 0.4}, {(0,): 1.0, (1,): 0.0}, 2.0)
     assert got == pytest.approx(0.5 * math.sqrt(0.32), abs=1e-15)
     assert got == pytest.approx(0.2828, abs=5e-5)
+    # an infinite p used to value every state at -1/2 and learn a meaningless policy
+    with pytest.raises(ValueError):
+        p_norm_loss({(0,): 1.0}, {(1,): 1.0}, math.inf)
 
 
 def test_features_at_matches_dense_marginalization():
