@@ -311,6 +311,8 @@ def load_tabular(
         raise ValueError(f"unknown mode {mode!r}")
     if missing not in ("token", "drop"):
         raise ValueError(f"unknown missing-value policy {missing!r}")
+    if len(delimiter) != 1:
+        raise SchemaError(f"delimiter must be one character, got {delimiter!r}")
     stream, owned = _open_maybe(source, newline="")
     try:
         reader = csv.reader(stream, delimiter=delimiter)

@@ -426,8 +426,13 @@ class Model:
                 f"model has {len(self.vocab.feature_dims)}"
             )
 
-    def _check_query(self, obs: EncodedObservation) -> None:
-        """Reject a query of the wrong shape or with an index outside the vocabulary."""
+    def _prepare_query(self, obs: EncodedObservation, state: _State | None = None) -> EncodedObservation:
+        """``obs`` as a reload of ``state`` (the published one unless given) reads it.
+
+        A query of the wrong shape or with an index outside the vocabulary is
+        rejected; feature values the vocabulary gained since ``state`` was
+        published are dropped, as encoding against the reload would drop them.
+        """
         self._check_dim_count(obs)
         for d, dim_map in enumerate(obs.feature_weights):
             size = len(self.vocab.feature_dims[d])
@@ -437,6 +442,8 @@ class Model:
                         f"feature index {idx} out of bounds for dimension "
                         f"{self.vocab.feature_dims[d].name!r} (size {size})"
                     )
+        sizes = (state or self._state).shape[1]
+        return obs if self.vocab.shape()[1] == sizes else obs.known(sizes)
 
     def target_prior(self) -> Dict[Index, float]:
         """Normalized target marginal: the terminal fallback distribution."""
@@ -548,10 +555,7 @@ class Model:
         cells (features plus queries; or one query) bound the kernels' arrays.
         """
         state = state or self._state
-        for obs in queries:
-            self._check_query(obs)
-        if self.vocab.shape()[1] != state.shape[1]:  # drop values added since, as a reload would
-            queries = [obs.known(state.shape[1]) for obs in queries]
+        queries = [self._prepare_query(obs, state) for obs in queries]
         pending = list(range(len(queries)))
         for depth, keep in enumerate(self.policy.steps):
             if not pending:
@@ -588,8 +592,9 @@ class Model:
     def predict_at_dims(self, obs: EncodedObservation, dims: Iterable[int]):
         """Distribution using only the given feature dimensions; None when degenerate.
 
-        Only the query's dimension count is checked here; callers looping
-        over many levels check the query once with :meth:`_check_query`.
+        The query is read as given: only its dimension count is checked here,
+        and callers looping over many levels prepare it once with
+        :meth:`_prepare_query`.
         """
         self._check_dim_count(obs)
         dims = frozenset(dims)

@@ -115,10 +115,11 @@ def learn_policy(
     """
     if not validation:
         raise InvalidRecordError("validation set is empty")
-    # predict_at_dims checks only the dimension count; indices are checked once here
+    # predict_at_dims reads each query as given; each is prepared once here
+    queries: List[EncodedObservation] = []
     truths: List[Dict[Index, float]] = []
     for n, obs in enumerate(validation):
-        model._check_query(obs)
+        queries.append(model._prepare_query(obs))
         dist = obs.target_distribution()
         if not dist:
             raise InvalidRecordError(f"validation record {n} has no labels")
@@ -146,7 +147,7 @@ def learn_policy(
         for d in sorted(all_dims - current):
             state = current | {d}
             preds = []
-            for obs, fallback in zip(validation, current_preds):
+            for obs, fallback in zip(queries, current_preds):
                 dist = model.predict_at_dims(obs, state)
                 preds.append(dist if dist is not None else fallback)
             value = mean_value(preds)

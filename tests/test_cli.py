@@ -6,6 +6,7 @@ import pytest
 
 from sparseborn.cli import main
 
+ZOO = str(Path(__file__).resolve().parent.parent / "data" / "zoo.csv")
 CSV = "class,hair,legs\nMammal,1,4\nMammal,1,4\nBird,0,2\nBird,0,2\nFish,0,0\n"
 
 
@@ -214,6 +215,8 @@ def test_invalid_arguments_fail_with_one_line_error(zoo_csv, tmp_path, capsys):
         ["explain", "--model", model, "--explain-mode", "local"],
         ["explain", "--model", model, "--explain-mode", "aggregate"],
         ["learn-policy", "--model", model, "--data", zoo_csv, "--targets", "class", "--loss-p", "inf"],
+        ["predict", "--data", zoo_csv, "--targets", "class", "--model", model, "--delimiter", ""],
+        ["predict", "--data", zoo_csv, "--targets", "class", "--model", model, "--delimiter", ";;"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error:") and err.count("\n") == 1, (argv, err)
@@ -243,3 +246,46 @@ def test_explain_rejects_top_k_below_one(zoo_csv, tmp_path, capsys):
             code, out, err = run(capsys, "explain", "--model", model, "--top-k", k, *argv)
             assert code == 1 and out == "", (k, argv)
             assert err == "error: k must be >= 1\n", (k, argv)
+
+
+def test_failed_run_leaves_existing_out_file_untouched(zoo_csv, tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    run(capsys, "train", "--data", zoo_csv, "--targets", "class", "--model", model)
+    out_path = tmp_path / "keep.tsv"
+    out_path.write_bytes(b"keep\n")
+    for argv in (
+        ["explain", "--model", model, "--targets", "Nope"],
+        ["explain", "--model", model, "--explain-mode", "local"],
+        ["evaluate", "--train", zoo_csv, "--targets", "class"],
+        ["evaluate", "--data", zoo_csv, "--targets", "class", "--runs", "0"],
+        ["predict", "--data", zoo_csv, "--targets", "class", "--model", model, "--top-k", "0"],
+    ):
+        code, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert (code, out) == (1, "") and err.startswith("error:"), argv
+        assert out_path.read_bytes() == b"keep\n", argv
+
+
+def test_learn_policy_unwritable_report_leaves_model_untouched(tmp_path, capsys):
+    # in tensor mode the learned policy differs from the default one the archive holds
+    data = ["--data", ZOO, "--targets", "type", "--drop-columns", "animal_name", "--mode", "tensor"]
+    model = tmp_path / "model.json"
+    run(capsys, "train", *data, "--model", str(model))
+    before = model.read_bytes()
+    code, out, err = run(
+        capsys, "learn-policy", *data, "--model", str(model),
+        "--report", str(tmp_path / "missing" / "report.txt"),
+    )
+    assert (code, out) == (1, "") and err.startswith("error:") and err.count("\n") == 1
+    assert model.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", [
+    ["predict", "--data", "q.csv", "--model", "m.json"],
+    ["explain", "--model", "m.json"],
+    ["learn-policy", "--model", "m.json", "--data", "q.csv"],
+])
+def test_normalize_is_only_for_commands_that_fit(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--normalize"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --normalize" in capsys.readouterr().err

@@ -93,6 +93,9 @@ def test_load_tabular_errors():
     with pytest.raises(ParseError) as err:
         load_tabular(io.StringIO("a,b\n1,2,3\n"), ["a"])
     assert "line 2" in str(err.value)
+    for delimiter in ("", ";;"):  # csv.reader would raise a bare TypeError
+        with pytest.raises(SchemaError, match="delimiter"):
+            load_tabular(io.StringIO(ZOO_LIKE), ["class"], delimiter=delimiter)
 
 
 def test_load_tabular_drop_columns():

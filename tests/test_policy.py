@@ -1,4 +1,5 @@
 """Fallback policies: p-norm loss, query contraction, greedy search."""
+import io
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from helpers import labeled_obs, make_model
 from sparseborn.data import EncodedObservation, RawRecord, Vocabulary, encode
 from sparseborn.errors import InvalidRecordError, ShapeError
-from sparseborn.model import Hyperparams, fit
+from sparseborn.model import Hyperparams, Model, fit, load
 from sparseborn.policy import Policy, learn_policy, p_norm_loss
 
 
@@ -150,3 +151,35 @@ def test_learn_policy_rejects_out_of_range_feature_index():
     model = make_model({((0,), (0,)): 1.0, ((1,), (1,)): 1.0}, 2, [2])
     with pytest.raises(ShapeError):
         learn_policy(model, [labeled_obs(0, {(0,): 1.0}), labeled_obs(1, {(7,): 1.0})])
+
+
+def test_learn_policy_reads_queries_as_the_views_reload_does(monkeypatch):
+    def record(label, x, y, wx=1.0):
+        return RawRecord(labels=[("label", label)], features=[("x", x, wx), ("y", y, 1.0)])
+
+    vocab = Vocabulary()
+    model = fit(encode([record("a", "p", "u"), record("b", "q", "v", 2.0),
+                        record("a", "q", "u", 3.0)], vocab, grow=True), vocab)
+    view = Model(model.corpus, model.vocab)
+    archive = io.StringIO()
+    view.save(archive)
+    reloaded = load(io.StringIO(archive.getvalue()))
+    model.update(encode([record("b", "r", "w")], model.vocab, grow=True))
+    validation = [
+        RawRecord(labels=[("label", "a")], features=[("x", "p", 1.0), ("x", "r", 1.0),
+                                                     ("y", "u", 1.0), ("y", "w", 2.0)]),
+        record("b", "q", "v"),
+    ]
+    expected = encode(validation, reloaded.vocab)
+    reload_policy, reload_report = learn_policy(reloaded, expected)
+    seen = []
+    predict_at_dims = Model.predict_at_dims
+
+    def spy(self, obs, dims):
+        seen.append(obs)
+        return predict_at_dims(self, obs, dims)
+
+    monkeypatch.setattr(Model, "predict_at_dims", spy)
+    policy, report = learn_policy(view, encode(validation, view.vocab))
+    assert seen and seen == expected * (len(seen) // len(expected))
+    assert (policy, report) == (reload_policy, reload_report)
