@@ -44,20 +44,20 @@ def tokenize(text: str) -> List[str]:
 
 
 class Dimension:
-    """One named axis with a dense string<->index bijection."""
+    """One named axis with a dense string<->index bijection; it creates only strings."""
 
     __slots__ = ("name", "values", "_index")
 
-    def __init__(self, name: str, values: Iterable[str] = ()):
+    def __init__(self, name: str):
         self.name = name
         self.values: List[str] = []
         self._index: Dict[str, int] = {}
-        for v in values:
-            self.encode(v, grow=True)
 
     def encode(self, value: str, grow: bool = False) -> int | None:
         idx = self._index.get(value)
         if idx is None and grow:
+            if not isinstance(value, str):
+                raise InvalidRecordError(f"names and values must be strings, got {value!r}")
             idx = len(self.values)
             self.values.append(value)
             self._index[value] = idx
@@ -80,31 +80,30 @@ class Vocabulary:
     """Per-dimension bidirectional string<->index maps for targets and features.
 
     Dimensions are created in first-seen order, which makes ingestion
-    deterministic: the same source always yields the same vocabulary.
+    deterministic: the same source always yields the same vocabulary.  Names
+    are the values of one more :class:`Dimension` per side, created and checked
+    as values are; a lookup reads its index directly, a call less per name.
     """
 
     def __init__(self):
         self.target_dims: List[Dimension] = []
         self.feature_dims: List[Dimension] = []
-        self._target_by_name: Dict[str, int] = {}
-        self._feature_by_name: Dict[str, int] = {}
+        self._target_names, self._feature_names = Dimension("targets"), Dimension("features")
         # the shape a model last published over this vocabulary; a failed update truncates to it
         self.published: Tuple[Tuple[int, ...], Tuple[int, ...]] | None = None
 
     def target_dim(self, name: str, create: bool = False) -> int | None:
-        idx = self._target_by_name.get(name)
+        idx = self._target_names._index.get(name)
         if idx is None and create:
-            idx = len(self.target_dims)
+            idx = self._target_names.encode(name, grow=True)
             self.target_dims.append(Dimension(name))
-            self._target_by_name[name] = idx
         return idx
 
     def feature_dim(self, name: str, create: bool = False) -> int | None:
-        idx = self._feature_by_name.get(name)
+        idx = self._feature_names._index.get(name)
         if idx is None and create:
-            idx = len(self.feature_dims)
+            idx = self._feature_names.encode(name, grow=True)
             self.feature_dims.append(Dimension(name))
-            self._feature_by_name[name] = idx
         return idx
 
     @property
@@ -151,14 +150,12 @@ class Vocabulary:
 
     def truncate(self, shape: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> None:
         """Forget every dimension and value added since ``shape()`` returned ``shape``."""
-        for dims, by_name, sizes in (
-            (self.target_dims, self._target_by_name, shape[0]),
-            (self.feature_dims, self._feature_by_name, shape[1]),
+        for dims, names, sizes in (
+            (self.target_dims, self._target_names, shape[0]),
+            (self.feature_dims, self._feature_names, shape[1]),
         ):
-            for dim in dims[len(sizes):]:
-                del by_name[dim.name]
             del dims[len(sizes):]
-            for dim, size in zip(dims, sizes):
+            for dim, size in zip([names, *dims], [len(sizes), *sizes]):
                 for value in dim.values[size:]:
                     del dim._index[value]
                 del dim.values[size:]
@@ -167,8 +164,8 @@ class Vocabulary:
         out = Vocabulary()
         out.target_dims = [d.copy() for d in self.target_dims]
         out.feature_dims = [d.copy() for d in self.feature_dims]
-        out._target_by_name = dict(self._target_by_name)
-        out._feature_by_name = dict(self._feature_by_name)
+        out._target_names = self._target_names.copy()
+        out._feature_names = self._feature_names.copy()
         return out
 
 
@@ -183,6 +180,22 @@ class RawRecord:
 
     labels: List[Tuple[str, str]] = field(default_factory=list)
     features: List[Tuple[str, str, float]] = field(default_factory=list)
+
+
+def _outer(maps: Iterable[Dict[int, float]], factor: float) -> Dict[Index, float]:
+    """``factor`` times the outer product of ``maps``; {} when one of them is empty.  While
+    the maps so far hold one value each there is one cell, and no dict is built."""
+    prefix, out = (), None
+    for dim_map in maps:
+        if not dim_map:
+            return {}
+        if out is None and len(dim_map) == 1:
+            [(i, wi)] = dim_map.items()
+            prefix, factor = prefix + (i,), factor * wi
+            continue
+        cells = out if out is not None else {prefix: factor}
+        out = {p + (i,): w * wi for p, w in cells.items() for i, wi in dim_map.items()}
+    return out if out is not None else {prefix: factor}
 
 
 @dataclass
@@ -209,16 +222,7 @@ class EncodedObservation:
 
     def target_product(self) -> Dict[Index, float]:
         """Outer product of the per-dimension label maps (no scale)."""
-        out: Dict[Index, float] = {(): 1.0}
-        for dim_map in self.label_weights:
-            if not dim_map:
-                return {}
-            out = {
-                prefix + (i,): w * wi
-                for prefix, w in out.items()
-                for i, wi in dim_map.items()
-            }
-        return out
+        return _outer(self.label_weights, 1.0)
 
     def target_distribution(self) -> Dict[Index, float]:
         """Normalized label distribution (one-hot for single-label records)."""
@@ -241,19 +245,7 @@ class EncodedObservation:
         for d, dim_map in enumerate(self.feature_weights):
             if d not in keep and dim_map:
                 factor *= sum(dim_map.values())
-        # while the kept dimensions hold one value each there is one cell: no dicts yet
-        prefix, out = (), None
-        for d in sorted(keep):
-            dim_map = self.feature_weights[d]
-            if not dim_map:
-                return {}
-            if out is None and len(dim_map) == 1:
-                [(i, wi)] = dim_map.items()
-                prefix, factor = prefix + (i,), factor * wi
-                continue
-            cells = out if out is not None else {prefix: factor}
-            out = {p + (i,): w * wi for p, w in cells.items() for i, wi in dim_map.items()}
-        return out if out is not None else {prefix: factor}
+        return _outer([self.feature_weights[d] for d in sorted(keep)], factor)
 
     def known(self, sizes: Sequence[int]) -> "EncodedObservation":
         """A copy without the feature values at or past ``sizes``, as encoding drops unknown ones."""
@@ -454,56 +446,30 @@ def encode(
     With ``grow`` (training) unknown strings extend the vocabulary and every
     record must carry at least one label; without it (prediction) unknown
     strings are silently dropped.  With ``normalize`` each observation's
-    joint counts are scaled to sum to 1.
+    joint counts are scaled to sum to 1.  A record with a malformed field
+    raises :class:`InvalidRecordError` naming the record.
     """
     out = []
     for n, rec in enumerate(records):
-        for _, _, mult in rec.features:
-            if not (mult > 0 and math.isfinite(mult)):
-                raise InvalidRecordError(
-                    f"record {n}: feature multiplicity must be positive and finite"
-                )
-        if grow and not rec.labels:
-            raise InvalidRecordError(f"record {n}: training record has no label")
-        # each dimension name is resolved once per record, in first-seen order
-        target_of: Dict[str, int | None] = {}
-        for name, _ in rec.labels:
-            if name not in target_of:
-                target_of[name] = vocab.target_dim(name, create=grow)
-        feature_of: Dict[str, int | None] = {}
-        for name, _, _ in rec.features:
-            if name not in feature_of:
-                feature_of[name] = vocab.feature_dim(name, create=grow)
-        label_maps: List[Dict[int, float]] = [{} for _ in vocab.target_dims]
-        for dim_name, value in rec.labels:
-            d = target_of[dim_name]
-            if d is None:
-                continue
-            idx = vocab.target_dims[d].encode(value, grow=grow)
-            if idx is None:
-                continue
-            label_maps[d][idx] = label_maps[d].get(idx, 0.0) + 1.0
-        if grow and not any(label_maps):
-            raise InvalidRecordError(f"record {n}: no encodable label")
-        feature_maps: List[Dict[int, float]] = [{} for _ in vocab.feature_dims]
-        for dim_name, token, mult in rec.features:
-            d = feature_of[dim_name]
-            if d is None:
-                continue
-            idx = vocab.feature_dims[d].encode(token, grow=grow)
-            if idx is None:
-                continue
-            feature_maps[d][idx] = feature_maps[d].get(idx, 0.0) + float(mult)
+        try:  # one handler for the whole record: no field is type-checked on its own
+            for _, _, mult in rec.features:
+                if not (mult > 0 and math.isfinite(mult)):
+                    raise InvalidRecordError("feature multiplicity must be positive and finite")
+            if grow and not rec.labels:
+                raise InvalidRecordError("training record has no label")
+            labels = [(name, value, 1.0) for name, value in rec.labels]
+            label_maps = _count(labels, vocab.target_dims, vocab.target_dim, grow)
+            feature_maps = _count(rec.features, vocab.feature_dims, vocab.feature_dim, grow)
+        except (TypeError, ValueError) as exc:
+            raise InvalidRecordError(f"record {n}: {exc}") from exc
         obs = EncodedObservation(
             label_weights=tuple(label_maps),
             feature_weights=tuple(feature_maps),
         )
         if normalize:
             total = 1.0
-            populated = [m for m in list(obs.label_weights) + list(obs.feature_weights) if m]
-            if populated and all(
-                m for m in obs.feature_weights
-            ) and (not rec.labels or all(m for m in obs.label_weights)):
+            populated = [m for m in label_maps + feature_maps if m]
+            if populated and all(feature_maps) and (not rec.labels or all(label_maps)):
                 for m in populated:
                     total *= sum(m.values())
                 if total > 0:
@@ -521,3 +487,22 @@ def encode(
                 {} for _ in range(vocab.n_feature_dims - len(obs.feature_weights))
             )
     return out
+
+
+def _count(items, dims: List[Dimension], dim_of, grow: bool) -> List[Dict[int, float]]:
+    """Sum the weights of (dimension name, value, weight) items into one {index: weight} map
+    per dimension of ``dims``; ``dim_of`` resolves each name once, in first-seen order."""
+    resolved: Dict[str, int | None] = {}
+    for name, _, _ in items:
+        if name not in resolved:
+            resolved[name] = dim_of(name, create=grow)
+    maps: List[Dict[int, float]] = [{} for _ in dims]
+    for name, value, weight in items:
+        d = resolved[name]
+        if d is None:
+            continue
+        idx = dims[d].encode(value, grow=grow)
+        if idx is None:
+            continue
+        maps[d][idx] = maps[d].get(idx, 0.0) + float(weight)
+    return maps

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
@@ -210,11 +210,11 @@ class _LevelTable:
 
 
 class _State:
-    """A published version of a model's counts, and what is derived from them on first
-    read.  ``shape`` is the vocabulary's when published; no attribute is ever reassigned."""
+    """A published copy of a model's counts, and what is derived from them on first read.
+    ``shape`` is the vocabulary's when published; no attribute is ever reassigned."""
 
     def __init__(self, corpus: SparseCounts, shape: Tuple[Tuple[int, ...], Tuple[int, ...]]):
-        self.corpus, self.shape = corpus, shape
+        self.corpus, self.shape = corpus.copy(), shape
         self.tables: Dict[FrozenSet[int], _LevelTable] = {}
 
     @cached_property
@@ -412,8 +412,8 @@ class Model:
 
     @property
     def corpus(self) -> SparseCounts:
-        """The published counts; :meth:`update` replaces them and never changes them."""
-        return self._state.corpus
+        """A copy of the published counts: changing it changes no model."""
+        return self._state.corpus.copy()
 
     @property
     def n_feature_dims(self) -> int:
@@ -734,9 +734,8 @@ def load(source) -> Model:
                 archived.append(spec["values"])
         # a repeated name or value leaves fewer dimensions or values than archived
         dims = vocab.target_dims + vocab.feature_dims
-        strings = chain([d.name for d in dims], *archived)
-        if [d.values for d in dims] != archived or not {str}.issuperset(map(type, strings)):
-            raise ValueError("dimension names and values must be distinct strings")
+        if [d.values for d in dims] != archived:
+            raise ValueError("dimension names and values must be distinct")
         hyper = Hyperparams(**payload["hyper"])
         corpus = SparseCounts.from_cells(vocab.n_target_dims, vocab.n_feature_dims, payload["corpus"])
         phases = PhaseTable(

@@ -191,3 +191,49 @@ class DictCounts:
         for (tgt, feat), weight in self.entries.items():
             out.add(tgt, tuple(feat[d] for d in kept), weight)
         return out
+
+
+def reference_encode(records, vocab, grow, normalize):
+    """Encode ``(labels, features)`` records with plain dicts, as ``encode`` is specified.
+
+    ``vocab`` is a pair of dicts, target and feature dimension name -> {value: index},
+    both in creation order; ``grow`` adds unknown names and values to it in place, and
+    without it they are dropped.  Returns one ``(label maps, feature maps, scale)`` per
+    record, every map list padded with empty maps to the final vocabulary.
+    """
+    out = []
+    for labels, features in records:
+        label_maps = _reference_maps(vocab[0], [(name, value, 1.0) for name, value in labels], grow)
+        feature_maps = _reference_maps(vocab[1], features, grow)
+        scale = 1.0
+        populated = [m for m in label_maps + feature_maps if m]
+        if normalize and populated and all(feature_maps) and (not labels or all(label_maps)):
+            total = 1.0
+            for m in populated:
+                total *= sum(m.values())
+            if total > 0:  # it underflows only
+                scale = 1.0 / total
+        out.append((label_maps, feature_maps, scale))
+    n_targets, n_features = len(vocab[0]), len(vocab[1])
+    return [
+        (
+            labels + [{} for _ in range(n_targets - len(labels))],
+            features + [{} for _ in range(n_features - len(features))],
+            scale,
+        )
+        for labels, features, scale in out
+    ]
+
+
+def _reference_maps(dims, items, grow):
+    """One {index: summed weight} map per dimension of ``dims`` once ``items`` have grown it."""
+    if grow:
+        for name, value, _ in items:
+            values = dims.setdefault(name, {})
+            values.setdefault(value, len(values))
+    maps = {name: {} for name in dims}
+    for name, value, weight in items:
+        if value in dims.get(name, {}):
+            index = dims[name][value]
+            maps[name][index] = maps[name].get(index, 0.0) + float(weight)
+    return list(maps.values())

@@ -3,11 +3,13 @@
 A fixed command matrix runs ``main()`` in-process, in fold and tensor mode:
 ``train``, ``predict --top-k 3``, ``explain`` in all four modes,
 ``learn-policy`` followed by ``predict`` with the learned policy,
-``evaluate --runs 5 --seed 3`` and a few failing runs.  Each run's exit
-code, the SHA-256 of its stdout and stderr, and the SHA-256 of every file it
-creates or changes are pinned.  The temporary directory is replaced by a
-placeholder before hashing, so the digests do not depend on where the test
-runs.  Holdout evaluation is left out: it prints wall-clock seconds.
+``evaluate --runs 5 --seed 3``, holdout ``evaluate --train --test`` and a
+few failing runs.  Each run's exit code, the SHA-256 of its stdout and
+stderr, and the SHA-256 of every file it creates or changes are pinned.  The
+temporary directory is replaced by a placeholder before hashing, so the
+digests do not depend on where the test runs.  Holdout evaluation prints its
+wall-clock ``train_seconds`` and ``predict_seconds``; those two values are
+masked before hashing, and everything else it prints is pinned.
 
 The expected digests live in ``golden_cli.json``.  After a deliberate change
 of output, rewrite it with ``python tests/test_cli_golden.py`` (with ``src``
@@ -19,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -28,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ZOO = str(ROOT / "data" / "zoo.csv")
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 PLACEHOLDER = "<tmp>"
+SECONDS = re.compile(rb"^((?:train|predict)_seconds\t)[0-9.]+$", re.MULTILINE)
 
 
 def _commands(tmp: str, mode: str):
@@ -56,6 +60,7 @@ def _commands(tmp: str, mode: str):
         ["explain", *model, "--targets", "Nope"],
         ["explain", *model, "--explain-mode", "local"],
         ["evaluate", "--train", ZOO, *data],
+        ["evaluate", "--train", ZOO, "--test", ZOO, *data],
     ]
 
 
@@ -76,7 +81,7 @@ def run_matrix() -> list:
                 runs.append({
                     "argv": " ".join(argv).replace(tmp, PLACEHOLDER).replace(ZOO, "<zoo>"),
                     "code": code,
-                    "stdout": _digest(out.getvalue().encode(), tmp),
+                    "stdout": _digest(SECONDS.sub(rb"\1<seconds>", out.getvalue().encode()), tmp),
                     "stderr": _digest(err.getvalue().encode(), tmp),
                     "files": {k: v for k, v in now.items() if files.get(k) != v},
                 })

@@ -4,7 +4,10 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracle import reference_encode
 from sparseborn.data import (
     EncodedObservation,
     RawRecord,
@@ -192,6 +195,76 @@ def test_encode_rejects_non_finite_multiplicity():
         rec = RawRecord(labels=[("class", "t")], features=[("f", "a", mult)])
         with pytest.raises(InvalidRecordError):
             encode([rec], Vocabulary(), grow=True)
+
+
+@pytest.mark.parametrize("grow", [True, False])
+@pytest.mark.parametrize(
+    "feature",
+    [("f", "a", "1"), ("f", "a", None), ("f", ["x"], 1.0)],
+    ids=["string-multiplicity", "no-multiplicity", "unhashable-token"],
+)
+def test_encode_rejects_malformed_fields_naming_the_record(feature, grow):
+    good = RawRecord(labels=[("class", "t")], features=[("f", "a", 1.0)])
+    vocab = Vocabulary()
+    encode([good], vocab, grow=True)  # without grow, only a known dimension looks its tokens up
+    with pytest.raises(InvalidRecordError, match="^record 1: "):
+        encode([good, RawRecord(labels=[("class", "t")], features=[feature])], vocab, grow=grow)
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        RawRecord(labels=[("class", 1)], features=[("f", "a", 1.0)]),
+        RawRecord(labels=[("class", "t")], features=[("f", 1, 1.0)]),
+        RawRecord(labels=[(("class",), "t")], features=[("f", "a", 1.0)]),
+        RawRecord(labels=[("class", "t")], features=[(None, "a", 1.0)]),
+    ],
+    ids=["label-value", "token", "label-dimension", "feature-dimension"],
+)
+def test_encode_rejects_names_and_values_that_are_not_strings(rec):
+    # a model trained on them would save an archive that load rejects
+    vocab = Vocabulary()
+    with pytest.raises(InvalidRecordError, match="^record 0: "):
+        encode([rec], vocab, grow=True)
+
+
+_NAMES = st.sampled_from(["x", "y", "z"])
+_VALUES = st.sampled_from(["a", "b", "c", "d"])
+_WEIGHTS = st.one_of(st.integers(1, 3), st.floats(0.01, 100.0))
+
+
+def _records(names, min_labels, max_size):
+    labels = st.lists(st.tuples(names, _VALUES), min_size=min_labels, max_size=4)
+    features = st.lists(st.tuples(names, _VALUES, _WEIGHTS), max_size=6)
+    return st.lists(st.tuples(labels, features), max_size=max_size)
+
+
+def _bits(maps):
+    return [[(i, w.hex()) for i, w in m.items()] for m in maps]
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    train=_records(_NAMES, 1, 6),
+    queries=_records(st.sampled_from(["x", "y", "z", "w"]), 0, 4),
+    more=_records(_NAMES, 1, 3),
+    normalize=st.booleans(),
+)
+# the scale is 1 / (3 * 0.1 * 0.7): another order of the factors rounds differently
+@example(train=[([("x", "a")] * 3, [("x", "a", 0.1), ("y", "a", 0.7)])], queries=[], more=[], normalize=True)
+def test_encode_matches_reference_encoder_bitwise(train, queries, more, normalize):
+    """Dimensions created part-way through a batch, repeated values and unknown
+    names and values without ``grow``: maps, their order, scales and vocabulary shape."""
+    vocab, reference = Vocabulary(), ({}, {})
+    for batch, grow in ((train, True), (queries, False), (more, True)):
+        records = [RawRecord(labels=list(labels), features=list(feats)) for labels, feats in batch]
+        got = encode(records, vocab, grow=grow, normalize=normalize)
+        want = reference_encode(batch, reference, grow, normalize)
+        assert [(_bits(o.label_weights), _bits(o.feature_weights), o.scale.hex()) for o in got] == [
+            (_bits(labels), _bits(feats), scale.hex()) for labels, feats, scale in want
+        ]
+        shape = tuple(tuple(len(values) for values in dims.values()) for dims in reference)
+        assert vocab.shape() == shape
 
 
 @pytest.mark.parametrize("count", ['"inf"', '"nan"', "Infinity", "NaN", '"-inf"'])

@@ -759,6 +759,25 @@ def two_label_records():
     ]
 
 
+@pytest.mark.parametrize("path", ["returned", "given"])
+def test_changing_the_corpus_it_returns_or_was_given_changes_no_model(path):
+    vocab = Vocabulary()
+    observations = encode(two_label_records(), vocab, grow=True)
+    queries = encode(two_label_records(), vocab)
+    untouched, archive = fit(observations, vocab), io.StringIO()
+    untouched.save(archive)
+    given = fit(observations, vocab).corpus
+    model = fit(observations, vocab) if path == "returned" else Model(given, vocab.copy())
+    model.predict(queries[0])  # warms the level table
+    (model.corpus if path == "returned" else given).add_rows([(1, 0)], [5.0])
+    for q in queries:
+        assert model.predict(q).distribution == untouched.predict(q).distribution
+    assert model.target_prior() == untouched.target_prior()
+    after = io.StringIO()
+    model.save(after)
+    assert after.getvalue() == archive.getvalue()
+
+
 def test_vocabulary_growth_without_update_changes_no_prediction():
     vocab = Vocabulary()
     observations = encode(two_label_records(), vocab, grow=True)
