@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -185,17 +185,18 @@ class RawRecord:
 def _outer(maps: Iterable[Dict[int, float]], factor: float) -> Dict[Index, float]:
     """``factor`` times the outer product of ``maps``; {} when one of them is empty.  While
     the maps so far hold one value each there is one cell, and no dict is built."""
-    prefix, out = (), None
+    prefix, out = [], None
     for dim_map in maps:
-        if not dim_map:
-            return {}
         if out is None and len(dim_map) == 1:
             [(i, wi)] = dim_map.items()
-            prefix, factor = prefix + (i,), factor * wi
+            prefix.append(i)
+            factor *= wi
             continue
-        cells = out if out is not None else {prefix: factor}
+        if not dim_map:
+            return {}
+        cells = out if out is not None else {tuple(prefix): factor}
         out = {p + (i,): w * wi for p, w in cells.items() for i, wi in dim_map.items()}
-    return out if out is not None else {prefix: factor}
+    return out if out is not None else {tuple(prefix): factor}
 
 
 @dataclass
@@ -232,7 +233,7 @@ class EncodedObservation:
             return {}
         return {idx: w / total for idx, w in product.items()}
 
-    def features_at(self, keep: Iterable[int]) -> Dict[Index, float]:
+    def features_at(self, keep: Collection[int]) -> Dict[Index, float]:
         """Feature counts contracted to the kept dimension ordinals.
 
         Dropped dimensions contribute their total mass as a scalar factor;
@@ -240,12 +241,13 @@ class EncodedObservation:
         contributes factor 1 so the surviving dimensions still carry weight.
         Returns {} when a kept dimension has no encodable values.
         """
-        keep = set(keep)
-        factor = self.scale
+        factor, kept = self.scale, []
         for d, dim_map in enumerate(self.feature_weights):
-            if d not in keep and dim_map:
+            if d in keep:
+                kept.append(dim_map)
+            elif dim_map:
                 factor *= sum(dim_map.values())
-        return _outer([self.feature_weights[d] for d in sorted(keep)], factor)
+        return _outer(kept, factor)
 
     def known(self, sizes: Sequence[int]) -> "EncodedObservation":
         """A copy without the feature values at or past ``sizes``, as encoding drops unknown ones."""
@@ -443,38 +445,42 @@ def encode(
 ) -> List[EncodedObservation]:
     """Encode raw records against (and optionally growing) a vocabulary.
 
-    With ``grow`` (training) unknown strings extend the vocabulary and every
-    record must carry at least one label; without it (prediction) unknown
-    strings are silently dropped.  With ``normalize`` each observation's
-    joint counts are scaled to sum to 1.  A record with a malformed field
-    raises :class:`InvalidRecordError` naming the record.
+    With ``grow`` (training) unknown strings extend the vocabulary and every record
+    must carry at least one label; without it (prediction) unknown strings are
+    silently dropped.  With ``normalize`` each observation's joint counts are scaled
+    to sum to 1.  A record with a malformed field raises :class:`InvalidRecordError`
+    naming the record, and a call that raises adds nothing to the vocabulary.
     """
-    out = []
-    for n, rec in enumerate(records):
-        try:  # one handler for the whole record: no field is type-checked on its own
-            for _, _, mult in rec.features:
-                if not (mult > 0 and math.isfinite(mult)):
-                    raise InvalidRecordError("feature multiplicity must be positive and finite")
-            if grow and not rec.labels:
-                raise InvalidRecordError("training record has no label")
-            labels = [(name, value, 1.0) for name, value in rec.labels]
-            label_maps = _count(labels, vocab.target_dims, vocab.target_dim, grow)
-            feature_maps = _count(rec.features, vocab.feature_dims, vocab.feature_dim, grow)
-        except (TypeError, ValueError) as exc:
-            raise InvalidRecordError(f"record {n}: {exc}") from exc
-        obs = EncodedObservation(
-            label_weights=tuple(label_maps),
-            feature_weights=tuple(feature_maps),
-        )
-        if normalize:
-            total = 1.0
-            populated = [m for m in label_maps + feature_maps if m]
-            if populated and all(feature_maps) and (not rec.labels or all(label_maps)):
-                for m in populated:
-                    total *= sum(m.values())
-                if total > 0:
-                    obs.scale = 1.0 / total
-        out.append(obs)
+    start, out = vocab.shape(), []
+    try:
+        for n, rec in enumerate(records):
+            try:  # one handler for the whole record: no field is type-checked on its own
+                for _, _, mult in rec.features:
+                    if not (mult > 0 and math.isfinite(mult)):
+                        raise InvalidRecordError("feature multiplicity must be positive and finite")
+                if grow and not rec.labels:
+                    raise InvalidRecordError("training record has no label")
+                labels = [(name, value, 1.0) for name, value in rec.labels]
+                label_maps = _count(labels, vocab.target_dims, vocab.target_dim, grow)
+                feature_maps = _count(rec.features, vocab.feature_dims, vocab.feature_dim, grow)
+            except (TypeError, ValueError) as exc:
+                raise InvalidRecordError(f"record {n}: {exc}") from exc
+            obs = EncodedObservation(
+                label_weights=tuple(label_maps),
+                feature_weights=tuple(feature_maps),
+            )
+            if normalize:
+                total = 1.0
+                populated = [m for m in label_maps + feature_maps if m]
+                if populated and all(feature_maps) and (not rec.labels or all(label_maps)):
+                    for m in populated:
+                        total *= sum(m.values())
+                    if total > 0:
+                        obs.scale = 1.0 / total
+            out.append(obs)
+    except BaseException:  # all or nothing: a failed call leaves the vocabulary as it found it
+        vocab.truncate(start)
+        raise
     # Late-created dimensions leave earlier observations short; pad so every
     # observation spans the full vocabulary.
     for obs in out:

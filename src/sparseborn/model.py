@@ -43,13 +43,13 @@ DEGENERATE_EPS = 1e-300
 BATCH_ADDENDS = 1 << 14
 
 
-def _sub_batches(queries, pending: List[int], keep: FrozenSet[int], max_cells: int):
-    """The pending queries and their features at a level, in runs of at most
-    ``max_cells`` cells, a cell per feature and one per query (its row of the
-    accumulators); a wider query goes alone."""
-    batch, feats, cells = [], [], 0
+def _sub_batches(queries, pending: Iterable[int], table: "_LevelTable"):
+    """The pending queries and their features at ``table``'s level, in runs of at most
+    ``BATCH_ADDENDS // n_targets`` cells (a column has one entry per target at most), a cell
+    per feature and one per query (its row of the accumulators); a wider query goes alone."""
+    batch, feats, cells, max_cells = [], [], 0, BATCH_ADDENDS // len(table.target_ids)
     for i in pending:
-        fmap = queries[i].features_at(keep)
+        fmap = queries[i].features_at(table.keep)
         if batch and cells + len(fmap) + 1 > max_cells:
             yield batch, feats
             batch, feats, cells = [], [], 0
@@ -549,10 +549,9 @@ class Model:
         Yields (depth, level, rows, decided) for each sub-batch of a step that
         decides some queries: those at positions ``decided`` are predicted by
         rows ``rows`` of ``level``, whose addends are the evidence; the others
-        go on.  The terminal (empty) step has no level: the prior of ``state``
-        (the published one unless given) decides.  A column has at most
-        one entry per target, so sub-batches of ``BATCH_ADDENDS / n_targets``
-        cells (features plus queries; or one query) bound the kernels' arrays.
+        go on, in sub-batches that bound the kernels' arrays.  The terminal
+        (empty) step has no level: the prior of ``state`` (the published one
+        unless given) decides.
         """
         state = state or self._state
         queries = [self._prepare_query(obs, state) for obs in queries]
@@ -564,9 +563,8 @@ class Model:
                 yield depth, None, pending, pending
                 return
             table = self._table(keep, state)
-            max_cells = BATCH_ADDENDS // len(table.target_ids)
             degenerate: List[int] = []
-            for batch, feats in _sub_batches(queries, pending, keep, max_cells):
+            for batch, feats in _sub_batches(queries, pending, table):
                 level = self._level([queries[i] for i in batch], feats, table)
                 rows = level.decided() if level is not None else []
                 if rows:
@@ -589,19 +587,26 @@ class Model:
         """Top-k decoded target tuples (multilabel when targets are multi-dimensional)."""
         return [self.vocab.decode_target(t) for t in self.predict_batch([obs], k)[0][0]]
 
-    def predict_at_dims(self, obs: EncodedObservation, dims: Iterable[int]):
-        """Distribution using only the given feature dimensions; None when degenerate.
-
-        The query is read as given: only its dimension count is checked here,
-        and callers looping over many levels prepare it once with
-        :meth:`_prepare_query`.
-        """
-        self._check_dim_count(obs)
+    def predict_at_dims(self, queries, dims: Iterable[int], state: _State | None = None):
+        """Each query's distribution using only the given feature dimensions, None where
+        degenerate, from ``state`` (the published one unless given); a single query gets
+        its own.  Queries are read as given, only their dimension count checked: callers
+        looping over many levels prepare them once with :meth:`_prepare_query`."""
+        if isinstance(queries, EncodedObservation):
+            return self.predict_at_dims([queries], dims, state)[0]
+        state = state or self._state
+        for obs in queries:
+            self._check_dim_count(obs)
         dims = frozenset(dims)
-        if not dims:
-            return dict(self.target_prior())
-        level = self._level([obs], [obs.features_at(dims)], self._table(dims))
-        return level.distribution(0) if level is not None and level.decided() else None
+        if not dims or not queries:
+            return [dict(state.prior) for _ in queries]
+        table = self._table(dims, state)
+        dists: list = [None] * len(queries)
+        for batch, feats in _sub_batches(queries, range(len(queries)), table):
+            level = self._level([queries[i] for i in batch], feats, table)
+            for r in level.decided() if level is not None else ():
+                dists[batch[r]] = level.distribution(r)
+        return dists
 
     def predict_batch(
         self, queries: Sequence[EncodedObservation], k: int = 1

@@ -71,13 +71,20 @@ class Policy:
         return cls(tuple(frozenset(map(operator.index, s)) for s in lists))
 
 
-def p_norm_loss(x: Mapping[Index, float], xhat: Mapping[Index, float], p: float) -> float:
-    """(1/2) * (sum_i |x_i - xhat_i|^p)^(1/p) over the union of supports."""
+def _row_losses(x_rows, xhat_rows, p: float) -> List[float]:
+    """:func:`p_norm_loss` of each pair of rows, a pair listing the same keys in one order.
+    Python's float ``**``, not numpy's: the two differ in the last bit for some values."""
     if not (p > 0 and math.isfinite(p)):
         raise ValueError("p must be finite and positive")
+    pairs = zip(x_rows, xhat_rows)
+    return [0.5 * math.fsum(abs(a - b) ** p for a, b in zip(x, xhat)) ** (1.0 / p) for x, xhat in pairs]
+
+
+def p_norm_loss(x: Mapping[Index, float], xhat: Mapping[Index, float], p: float) -> float:
+    """(1/2) * (sum_i |x_i - xhat_i|^p)^(1/p) over the union of supports."""
     keys = set(x) | set(xhat)
-    total = math.fsum(abs(x.get(k, 0.0) - xhat.get(k, 0.0)) ** p for k in keys)
-    return 0.5 * total ** (1.0 / p)
+    [loss] = _row_losses([[x.get(k, 0.0) for k in keys]], [[xhat.get(k, 0.0) for k in keys]], p)
+    return loss
 
 
 @dataclass
@@ -107,59 +114,61 @@ def learn_policy(
     """Greedy forward search over dimension subsets, maximizing mean reward.
 
     Rewards are negative p-norm losses against each validation record's own
-    label distribution.  States are evaluated by predicting with only the
-    kept dimensions, substituting the previous state's prediction wherever
-    the estimate degenerates to zero.  Value ties between extensions go to
-    the lowest dimension ordinal; the search stops at the full set or when
-    no extension improves the current value.
+    label distribution.  Each state is one batched :meth:`Model.predict_at_dims`
+    call over the validation set, on the state published when the search
+    starts; the previous state's prediction stands wherever the estimate
+    degenerates to zero.  Value ties between extensions go to the lowest
+    dimension ordinal; the search stops at the full set or when no extension
+    improves the current value.
     """
     if not validation:
         raise InvalidRecordError("validation set is empty")
+    state = model._state
     # predict_at_dims reads each query as given; each is prepared once here
     queries: List[EncodedObservation] = []
     truths: List[Dict[Index, float]] = []
     for n, obs in enumerate(validation):
-        queries.append(model._prepare_query(obs))
+        queries.append(model._prepare_query(obs, state))
         dist = obs.target_distribution()
         if not dist:
             raise InvalidRecordError(f"validation record {n} has no labels")
         truths.append(dist)
-    n_dims = model.n_feature_dims
-    all_dims = frozenset(range(n_dims))
+    all_dims = frozenset(range(model.n_feature_dims))
+    # every distribution is scored as a row over one target order; absent targets add exact zeros
+    targets = list(dict.fromkeys([t for dist in (state.prior, *truths) for t in dist]))
 
-    def mean_value(preds: Sequence[Mapping[Index, float]]) -> float:
-        losses = [p_norm_loss(pred, truth, loss_p) for pred, truth in zip(preds, truths)]
+    def row(dist: Mapping[Index, float]) -> List[float]:
+        return [dist.get(t, 0.0) for t in targets]
+
+    def mean_value(rows: Sequence[List[float]]) -> float:
+        losses = _row_losses(rows, truth_rows, loss_p)
         return -math.fsum(losses) / len(losses)
 
-    prior = model.target_prior()
+    truth_rows = [row(truth) for truth in truths]
     current: FrozenSet[int] = frozenset()
-    current_preds: List[Mapping[Index, float]] = [prior] * len(validation)
-    current_value = mean_value(current_preds)
+    current_rows = [row(state.prior)] * len(queries)
+    current_value = mean_value(current_rows)
     report = PolicySearchReport(loss_p=loss_p)
     report.path.append(((), current_value))
     report.explored.append(((), current_value))
     chain: List[FrozenSet[int]] = [current]
 
     while current != all_dims:
-        best_dim = None
-        best_value = None
-        best_preds = None
+        best_dim = best_value = best_rows = None
         for d in sorted(all_dims - current):
-            state = current | {d}
-            preds = []
-            for obs, fallback in zip(queries, current_preds):
-                dist = model.predict_at_dims(obs, state)
-                preds.append(dist if dist is not None else fallback)
-            value = mean_value(preds)
-            report.explored.append((tuple(sorted(state)), value))
+            dims = current | {d}
+            dists = model.predict_at_dims(queries, dims, state)
+            rows = [held if dist is None else row(dist) for dist, held in zip(dists, current_rows)]
+            value = mean_value(rows)
+            report.explored.append((tuple(sorted(dims)), value))
             if best_value is None or value > best_value:
-                best_dim, best_value, best_preds = d, value, preds
+                best_dim, best_value, best_rows = d, value, rows
         if best_value is None or best_value <= current_value:
             break
         current = current | {best_dim}
         current_value = best_value
-        current_preds = best_preds
+        current_rows = best_rows
         chain.append(current)
         report.path.append((tuple(sorted(current)), current_value))
 
-    return Policy.from_chain(chain, n_dims), report
+    return Policy.from_chain(chain, len(all_dims)), report

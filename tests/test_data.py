@@ -19,6 +19,7 @@ from sparseborn.data import (
     tokenize,
 )
 from sparseborn.errors import InvalidRecordError, ParseError, SchemaError
+from sparseborn.model import fit
 
 ZOO_LIKE = "class,hair,legs\nMammal,1,4\nBird,0,2\nMammal,1,\n"
 
@@ -226,6 +227,24 @@ def test_encode_rejects_names_and_values_that_are_not_strings(rec):
     vocab = Vocabulary()
     with pytest.raises(InvalidRecordError, match="^record 0: "):
         encode([rec], vocab, grow=True)
+
+
+def test_failed_encode_adds_nothing_to_the_vocabulary():
+    records = [
+        RawRecord(labels=[("label", "a")], features=[("token", "x", 1.0)]),
+        RawRecord(labels=[("label", "b")], features=[("token", "y", 1.0)]),
+    ]
+    vocab = Vocabulary()
+    model = fit(encode(records, vocab, grow=True), vocab)
+    # the new target dimension and the first record's values come before the bad token
+    bad = RawRecord(labels=[("topic", "t")], features=[("token", 1, 1.0)])
+    new = RawRecord(labels=[("label", "c")], features=[("token", "z", 1.0)])
+    with pytest.raises(InvalidRecordError, match="^record 1: "):
+        encode([new, bad], model.vocab, grow=True)
+    assert model.vocab.shape() == ((2,), (2,))
+    assert model.vocab.target_dim("topic") is None and model.vocab.target_dims[0].encode("c") is None
+    model.update(encode([records[0]], model.vocab, grow=True))
+    assert model.corpus.entries[((0,), (0,))] == 2.0
 
 
 _NAMES = st.sampled_from(["x", "y", "z"])

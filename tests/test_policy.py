@@ -1,14 +1,19 @@
 """Fallback policies: p-norm loss, query contraction, greedy search."""
 import io
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import labeled_obs, make_model
-from sparseborn.data import EncodedObservation, RawRecord, Vocabulary, encode
+from sparseborn import model as model_module
+from sparseborn.data import EncodedObservation, RawRecord, Vocabulary, encode, load_tabular
 from sparseborn.errors import InvalidRecordError, ShapeError
-from sparseborn.model import Hyperparams, Model, fit, load
+from sparseborn.model import Hyperparams, Model, PhaseTable, fit, load
 from sparseborn.policy import Policy, learn_policy, p_norm_loss
 
 
@@ -145,6 +150,9 @@ def test_learn_policy_rejects_validation_with_wrong_dimension_count():
         learn_policy(model, [labeled_obs(0, {(0,): 1.0}), two_dims])
     with pytest.raises(ShapeError):
         model.predict_at_dims(two_dims, {0})
+    with pytest.raises(ShapeError):
+        model.predict_at_dims([labeled_obs(0, {(0,): 1.0})], {1})
+    assert model.predict_at_dims([], {0}) == []
 
 
 def test_learn_policy_rejects_out_of_range_feature_index():
@@ -172,14 +180,130 @@ def test_learn_policy_reads_queries_as_the_views_reload_does(monkeypatch):
     ]
     expected = encode(validation, reloaded.vocab)
     reload_policy, reload_report = learn_policy(reloaded, expected)
-    seen = []
+    seen, calls = [], []
     predict_at_dims = Model.predict_at_dims
 
-    def spy(self, obs, dims):
-        seen.append(obs)
-        return predict_at_dims(self, obs, dims)
+    def spy(self, queries, dims, state=None):
+        seen.append(list(queries))
+        calls.append(tuple(sorted(dims)))
+        return predict_at_dims(self, queries, dims, state)
 
     monkeypatch.setattr(Model, "predict_at_dims", spy)
     policy, report = learn_policy(view, encode(validation, view.vocab))
-    assert seen and seen == expected * (len(seen) // len(expected))
+    assert seen and all(batch == expected for batch in seen)
+    # one batched call per explored state but the empty one, whose value is the prior's
+    assert calls == [dims for dims, _ in report.explored if dims]
     assert (policy, report) == (reload_policy, reload_report)
+
+
+def test_learn_policy_reads_the_state_published_when_it_starts(monkeypatch):
+    rng = np.random.default_rng(33)
+    vocab = Vocabulary()
+    model = fit(encode(make_two_dim_dataset(rng, n=40), vocab, grow=True), vocab)
+    archive = io.StringIO()
+    model.save(archive)
+    reloaded = load(io.StringIO(archive.getvalue()))
+    raw = make_two_dim_dataset(rng, n=20)
+    expected = learn_policy(reloaded, encode(raw, reloaded.vocab))
+    # labels no longer follow the signal dimension, and a new noise value appears
+    flipped = [
+        RawRecord(labels=[("class", "c0")], features=[("noise", f"n{i % 5}", 1.0), ("signal", f"s{i % 3}", 1.0)])
+        for i in range(60)
+    ]
+    build, updates = Model._build_table, []
+
+    def racing(self, keep, state):
+        if not updates:
+            updates.append(self.update(encode(flipped, self.vocab, grow=True)))
+        return build(self, keep, state)
+
+    monkeypatch.setattr(Model, "_build_table", racing)
+    assert learn_policy(model, encode(raw, model.vocab)) == expected
+    assert updates and learn_policy(model, encode(raw, model.vocab)) != expected
+
+
+# -- the batched search against the per-query search it replaced --------------
+
+ZOO = load_tabular(
+    Path(__file__).resolve().parent.parent / "data" / "zoo.csv",
+    ["type"],
+    mode="tensor",
+    drop_columns=["animal_name"],
+)
+
+
+def reference_search(model, validation, loss_p):
+    """One single-query predict_at_dims call per (state, query), scored with p_norm_loss."""
+    queries = [model._prepare_query(obs) for obs in validation]
+    truths = [obs.target_distribution() for obs in validation]
+
+    def mean_value(preds):
+        return -math.fsum(p_norm_loss(pred, truth, loss_p) for pred, truth in zip(preds, truths)) / len(truths)
+
+    all_dims = frozenset(range(model.n_feature_dims))
+    current, preds = frozenset(), [model.target_prior()] * len(queries)
+    value = mean_value(preds)
+    path, explored, chain = [((), value)], [((), value)], [current]
+    while current != all_dims:
+        best = None
+        for d in sorted(all_dims - current):
+            state = current | {d}
+            candidate = []
+            for obs, held in zip(queries, preds):
+                dist = model.predict_at_dims(obs, state)
+                candidate.append(held if dist is None else dist)
+            explored.append((tuple(sorted(state)), mean_value(candidate)))
+            if best is None or explored[-1][1] > best[0]:
+                best = explored[-1][1], d, candidate
+        if best[0] <= value:
+            break
+        value, current, preds = best[0], current | {best[1]}, best[2]
+        chain.append(current)
+        path.append((tuple(sorted(current)), value))
+    return Policy.from_chain(chain, model.n_feature_dims), path, explored
+
+
+def _zoo_split(rng, n_test):
+    order = rng.permutation(len(ZOO))
+    held = [ZOO[i] for i in order[:n_test]]
+    # unknown values leave some dimensions of a query empty, or all of them
+    for rec in held[: n_test // 3]:
+        rec = RawRecord(rec.labels, [(d, v if rng.random() < 0.6 else "unseen", w) for d, v, w in rec.features])
+        held.append(rec)
+    held.append(RawRecord(held[0].labels, [(d, "unseen", w) for d, _, w in held[0].features]))
+    return [ZOO[i] for i in order[n_test:]], held
+
+
+def _phased(model, rng):
+    cells = sorted(model.corpus.entries)
+    phases = PhaseTable({cell: float(rng.uniform(-1, 1)) for cell in cells if rng.random() < 0.5})
+    return Model(model.corpus, model.vocab, hyper=model.hyper, phases=phases)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["split", "phased", "view"]),
+    loss_p=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    hyper=st.sampled_from([Hyperparams(), Hyperparams(0, 0, 1), Hyperparams(0.5, 2, 0.25)]),
+    batch_addends=st.sampled_from([1, 200, model_module.BATCH_ADDENDS]),
+)
+def test_batched_search_equals_the_per_query_search(seed, kind, loss_p, hyper, batch_addends):
+    rng = np.random.default_rng(seed)
+    train, held = _zoo_split(rng, int(rng.integers(3, 35)))
+    vocab = Vocabulary()
+    if kind == "view":  # the view's vocabulary is shared, and grows past what it published
+        model = fit(encode(train[: len(train) // 2], vocab, grow=True), vocab, hyper=hyper)
+        searched = Model(model.corpus, model.vocab, hyper=hyper)
+        model.update(encode(train[len(train) // 2 :] + held[:3], model.vocab, grow=True))
+    else:
+        searched = fit(encode(train, vocab, grow=True), vocab, hyper=hyper)
+    validation = [obs for obs in encode(held, searched.vocab) if obs.has_labels()]
+    if kind == "phased":
+        searched = _phased(searched, rng)
+        for obs in validation[::2]:
+            full = tuple(next(iter(m), 0) for m in obs.feature_weights)
+            obs.phases = {full: float(rng.uniform(-1, 1))}
+    with mock.patch.object(model_module, "BATCH_ADDENDS", batch_addends):
+        policy, report = learn_policy(searched, validation, loss_p)
+    assert (policy, report.path, report.explored) == reference_search(searched, validation, loss_p)
