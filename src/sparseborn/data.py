@@ -204,15 +204,16 @@ class EncodedObservation:
     """An observation in product form.
 
     One index->weight map per target dimension and per feature dimension;
-    the joint counts are ``scale`` times the outer product of the maps.
-    ``phases`` optionally assigns an angle (radians) to full feature
-    multi-indices; absent means zero.
+    the joint counts are ``scale`` times the outer product of the maps, set
+    by ``encode`` to sum to 1 where ``normalized``.  ``phases`` optionally
+    assigns an angle (radians) to full feature multi-indices; absent means zero.
     """
 
     label_weights: Tuple[Dict[int, float], ...]
     feature_weights: Tuple[Dict[int, float], ...]
     scale: float = 1.0
     phases: Dict[Index, float] | None = None
+    normalized: bool = False
 
     @property
     def n_feature_dims(self) -> int:
@@ -249,10 +250,17 @@ class EncodedObservation:
                 factor *= sum(dim_map.values())
         return _outer(kept, factor)
 
-    def known(self, sizes: Sequence[int]) -> "EncodedObservation":
-        """A copy without the feature values at or past ``sizes``, as encoding drops unknown ones."""
-        maps = tuple({i: w for i, w in m.items() if i < n} for m, n in zip(self.feature_weights, sizes))
-        return replace(self, feature_weights=maps)
+    def known(self, shape) -> "EncodedObservation":
+        """A copy without the values at or past ``shape``'s (target, feature) sizes, as encoding
+        drops unknown ones, and normalized again if encoding normalized it."""
+        labels, feats = (tuple({i: w for i, w in m.items() if i < n} for m, n in zip(maps, sizes))
+                         for maps, sizes in zip((self.label_weights, self.feature_weights), shape))
+        if not self.normalized:
+            return replace(self, label_weights=labels, feature_weights=feats)
+        # a normalized record's label maps were all populated, or all empty as it had no labels
+        normalized = not any(self.label_weights) or all(labels)
+        scale = _normal_scale(labels, feats) if normalized else 1.0
+        return replace(self, label_weights=labels, feature_weights=feats, scale=scale, normalized=normalized)
 
     def counts(self, target_dims: int, feature_dims: int) -> SparseCounts:
         """Materialize the joint counts X as a sparse tensor."""
@@ -469,14 +477,8 @@ def encode(
                 label_weights=tuple(label_maps),
                 feature_weights=tuple(feature_maps),
             )
-            if normalize:
-                total = 1.0
-                populated = [m for m in label_maps + feature_maps if m]
-                if populated and all(feature_maps) and (not rec.labels or all(label_maps)):
-                    for m in populated:
-                        total *= sum(m.values())
-                    if total > 0:
-                        obs.scale = 1.0 / total
+            if normalize and (not rec.labels or all(label_maps)):
+                obs.scale, obs.normalized = _normal_scale(label_maps, feature_maps), True
             out.append(obs)
     except BaseException:  # all or nothing: a failed call leaves the vocabulary as it found it
         vocab.truncate(start)
@@ -493,6 +495,13 @@ def encode(
                 {} for _ in range(vocab.n_feature_dims - len(obs.feature_weights))
             )
     return out
+
+
+def _normal_scale(label_maps, feature_maps) -> float:
+    """1 over the product of the populated maps' totals, labels first; 1 when a feature dimension is empty."""
+    populated = [m for m in (*label_maps, *feature_maps) if m]
+    total = math.prod(sum(m.values()) for m in populated) if populated and all(feature_maps) else 1.0
+    return 1.0 / total if total > 0 else 1.0
 
 
 def _count(items, dims: List[Dimension], dim_of, grow: bool) -> List[Dict[int, float]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Sequence, Tuple
 
@@ -91,11 +92,11 @@ def score(predictions: Sequence[Hashable], truths: Sequence[Hashable]) -> Metric
         raise InvalidRecordError("nothing to score")
     labels = sorted(set(truths) | set(predictions), key=lambda x: (str(type(x)), str(x)))
     per_class: Dict[Hashable, ClassMetrics] = {}
-    correct = sum(1 for p, t in zip(predictions, truths) if p == t)
+    predicted, true = Counter(predictions), Counter(truths)
+    hits = Counter(t for p, t in zip(predictions, truths) if p == t)
+    correct = sum(hits.values())
     for label in labels:
-        tp = sum(1 for p, t in zip(predictions, truths) if p == label and t == label)
-        fp = sum(1 for p, t in zip(predictions, truths) if p == label and t != label)
-        fn = sum(1 for p, t in zip(predictions, truths) if p != label and t == label)
+        tp, fp, fn = hits[label], predicted[label] - hits[label], true[label] - hits[label]
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

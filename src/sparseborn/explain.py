@@ -91,11 +91,13 @@ def explain_local(
     came from the terminal fallback: no feature carried evidence.
     """
     _check_k(k)
-    [(_, level, [q], _)] = model.walk([query])
+    [(_, level, rows, _)] = model.walk([query])
     if level is None:
         return []
-    target_index = level.top(q) if target is None else _resolve_target(model, target)
-    cols, modulus, angle, _ = level.attribution(q, target_index)
+    ids = level.table.target_ids
+    target_index = ids[level.probabilities(rows).argmax()] if target is None else _resolve_target(model, target)
+    row = ids.index(target_index) if target_index in ids else -1
+    _, cols, modulus, angle, _ = level.attribution(rows, [row])
     feats = [level.table.feat_ids[c] for c in cols.tolist()]
     return _ranked(model, target_index, feats, modulus, k, angle, [level.kept] * len(feats))
 
@@ -127,15 +129,19 @@ def aggregate_local(
     Targets, and a feature's tied candidates from two policy levels, come in first-query order.
     """
     _check_k(k)
-    # (predicted, kept) -> (first query, feature ids, addend columns and moduli per query); a
+    # (predicted, kept) -> (first query, feature ids, addend columns and moduli per level); a
     # bucket's queries all stop at one policy step, whose sub-batches come in query order
     buckets: Dict[Tuple[Index, Tuple[int, ...]], tuple] = {}
     for _, level, rows, queries_at in model.walk(queries):
-        for q, i in zip(rows, queries_at) if level is not None else ():
-            predicted = level.top(q)
-            cols, modulus, _, addends = level.attribution(q, predicted)
-            bucket = buckets.setdefault((predicted, level.kept), (i, level.table.feat_ids, []))
-            bucket[2].append((cols[addends], modulus[addends]))
+        if level is None:
+            continue
+        tops = level.probabilities(rows).argmax(1)
+        rows_at, cols, modulus, _, cells = level.attribution(rows, tops)
+        target_ids, ids = level.table.target_ids, level.table.feat_ids
+        for t, first in zip(*np.unique(tops, return_index=True)):  # each target and its first query
+            mine = cells[tops[rows_at[cells]] == t]
+            bucket = buckets.setdefault((target_ids[t], level.kept), (queries_at[first], ids, []))
+            bucket[2].append((cols[mine], modulus[mine]))
     by_target: Dict[Index, list] = {}  # (feature, summed score, kept) candidates
     for (t, kept), (_, ids, addends) in sorted(buckets.items(), key=lambda b: b[1][0]):
         cols, modulus = map(np.concatenate, zip(*addends))

@@ -10,8 +10,8 @@ evaluated with the accumulation kernels.  The prediction rule is
 normalized over targets, with the policy's contraction chain applied
 whenever every X_i is zero.  :meth:`Model.walk` takes a batch of queries
 down the policy, each level summing the undecided ones with one kernel call;
-a single query is a batch of one.  A prediction, its contributions and its
-local explanations all read the addends this walk gathered at one level.
+a single query is a batch of one.  A level's two readers serve the rest:
+``probabilities`` every distribution and top target, ``attribution`` every local explanation.
 The counts do not depend on h, b or p: models that differ only in them can share one corpus,
 held in an immutable published state that :meth:`Model.update` replaces and never changes.
 """
@@ -238,8 +238,9 @@ class _Level:
     ``qcols`` (and ``qtheta``) hold the batch's known columns in the kernels'
     flat layout (see :mod:`._kernels`); row q of ``magnitudes`` holds X_i
     for each of the table's targets and ``totals[q]`` their sum.
-    ``lengths``, ``entry``, ``modulus`` and ``angle`` are the addends the
-    kernel summed.
+    ``lengths``, ``entry``, ``modulus`` and ``angle`` are the addends the kernel summed.
+    :meth:`probabilities` serves every distribution and top target, :meth:`attribution`
+    every local explanation, one call for a batch; :meth:`contributions` serves ``predict``.
     """
 
     table: _LevelTable
@@ -251,68 +252,45 @@ class _Level:
     entry: np.ndarray
     modulus: np.ndarray
     angle: np.ndarray | None
-    _index: Tuple[List[int], List[int]] | None = None
 
     @property
     def kept(self) -> Tuple[int, ...]:
         return tuple(sorted(self.table.keep))
 
-    def decided(self) -> List[int]:
-        """The rows whose total reaches ``DEGENERATE_EPS``; the rest are degenerate."""
-        return [r for r, total in enumerate(self.totals.tolist()) if not total < DEGENERATE_EPS]
+    def probabilities(self, rows) -> np.ndarray:
+        """Each row's distribution over the table's targets; its argmax, the first
+        maximum, is the most probable target with ties to the smaller multi-index."""
+        return self.magnitudes[rows] / self.totals[rows][:, None]
 
-    def span(self, q: int) -> Tuple[int, int]:
-        """Query q's cells in ``qcols``: start and stop."""
-        if self._index is None:  # built once: an aggregate reads every query's span
-            seps = np.flatnonzero(self.qcols == len(self.table.feat_ids)) + 1
-            ends = np.add.accumulate(self.lengths)  # of each cell's addends
-            self._index = [0, *seps.tolist(), len(self.qcols) + 1], [0, *ends.tolist()]
-        starts = self._index[0]
-        return starts[q], starts[q + 1] - 1
-
-    def distribution(self, q: int) -> Dict[Index, float]:
-        total = self.totals.item(q)  # a float divides as numpy does, with fewer calls
-        return dict(zip(self.table.target_ids, [m / total for m in self.magnitudes[q].tolist()]))
-
-    def top(self, q: int) -> Index:
-        """Query q's most probable target; ties go to the smaller multi-index."""
-        return self.table.target_ids[(self.magnitudes[q] / self.totals[q]).argmax()]
-
-    def addends(self, q: int):
-        """(cell, target row, modulus, angle) of query q's addends, one per
-        stored cell of each of its columns, in (column, row) order.
-        """
-        start, stop = self.span(q)
-        lo, hi = self._index[1][start], self._index[1][stop]
-        cell = np.arange(start, stop).repeat(self.lengths[start:stop])
-        angle = self.angle[lo:hi] if self.angle is not None else np.zeros(hi - lo)
-        return cell, self.table.rows[self.entry[lo:hi]], self.modulus[lo:hi], angle
-
-    def attribution(self, q: int, target: Index):
-        """Query q's columns, ascending, with the modulus and angle of each one's addend
-        for ``target`` (0 and the query's phase where it has none), and the positions
-        among them of the columns that have one.
-        """
-        start, stop = self.span(q)
-        lo, hi = self._index[1][start], self._index[1][stop]
-        target_ids = self.table.target_ids
-        row = target_ids.index(target) if target in target_ids else -1
-        hit = (self.table.rows[self.entry[lo:hi]] == row).nonzero()[0]  # a column has one entry per row
-        addends = np.arange(stop - start).repeat(self.lengths[start:stop])[hit]
-        moduli = np.zeros(stop - start)
-        moduli[addends] = self.modulus[lo:hi][hit]
-        angles = self.qtheta[start:stop].copy() if self.qtheta is not None else np.zeros(stop - start)
+    def attribution(self, rows, targets):
+        """Each query of ``rows`` with the target row at its position in ``targets`` (-1: none):
+        for every cell of the batch its position in ``rows`` (``len(rows)``: a separator or a query
+        not in ``rows``), its column, ascending within a query, and the modulus and angle of its
+        addend for the target (0 and the query's phase where none); then the cells that have one."""
+        n, wanted = len(self.qcols), targets[0] if len(rows) else -1
+        cell, rows_at = np.arange(n).repeat(self.lengths), np.zeros(n, dtype=np.intp)
+        if len(self.totals) > 1:  # a cell's query is the number of separators before it
+            at = np.full(len(self.totals) + 1, len(rows))
+            at[rows] = np.arange(len(rows))
+            is_sep = self.qcols == len(self.table.feat_ids)
+            rows_at = at[np.where(is_sep, len(self.totals), is_sep.cumsum())]
+            wanted = np.append(targets, -1)[rows_at[cell]]
+        hit = (self.table.rows[self.entry] == wanted).nonzero()[0]  # a column has one entry per row
+        cells, moduli = cell[hit], np.zeros(n)
+        moduli[cells] = self.modulus[hit]
+        angles = self.qtheta.copy() if self.qtheta is not None else np.zeros(n)
         if self.angle is not None:
-            angles[addends] = self.angle[lo:hi][hit]
-        return self.qcols[start:stop], moduli, angles, addends
+            angles[cells] = self.angle[hit]
+        return rows_at, self.qcols, moduli, angles, cells
 
-    def contributions(self, q: int) -> Dict[Tuple[Index, Index], Tuple[float, float]]:
-        cell, rows, modulus, angle = self.addends(q)
-        cols = self.qcols[cell]
+    def contributions(self) -> Dict[Tuple[Index, Index], Tuple[float, float]]:
+        """(target, feature) -> (modulus, angle) of every addend of a one-query level."""
+        rows, cols = self.table.rows[self.entry], self.qcols.repeat(self.lengths)
+        angles = self.angle.tolist() if self.angle is not None else repeat(0.0)
         target_ids, feat_ids = self.table.target_ids, self.table.feat_ids
         return {
             (target_ids[r], feat_ids[c]): (m, a)
-            for r, c, m, a in zip(rows.tolist(), cols.tolist(), modulus.tolist(), angle.tolist())
+            for r, c, m, a in zip(rows.tolist(), cols.tolist(), self.modulus.tolist(), angles)
         }
 
 
@@ -430,8 +408,8 @@ class Model:
         """``obs`` as a reload of ``state`` (the published one unless given) reads it.
 
         A query of the wrong shape or with an index outside the vocabulary is
-        rejected; feature values the vocabulary gained since ``state`` was
-        published are dropped, as encoding against the reload would drop them.
+        rejected; values the vocabulary gained since ``state`` was published are
+        dropped, and a normalized query rescaled, as encoding against the reload would.
         """
         self._check_dim_count(obs)
         for d, dim_map in enumerate(obs.feature_weights):
@@ -442,8 +420,8 @@ class Model:
                         f"feature index {idx} out of bounds for dimension "
                         f"{self.vocab.feature_dims[d].name!r} (size {size})"
                     )
-        sizes = (state or self._state).shape[1]
-        return obs if self.vocab.shape()[1] == sizes else obs.known(sizes)
+        shape = (state or self._state).shape
+        return obs if self.vocab.shape() == shape else obs.known(shape)
 
     def target_prior(self) -> Dict[Index, float]:
         """Normalized target marginal: the terminal fallback distribution."""
@@ -541,6 +519,14 @@ class Model:
         magnitudes = modulus ** (1.0 / self.hyper.p)
         return _Level(table, qcols, qtheta, magnitudes, np.add.reduce(magnitudes, 1), *addends)
 
+    def _levels(self, queries, pending: Iterable[int], table: _LevelTable):
+        """Each sub-batch of the ``pending`` queries at ``table``'s level: its positions, its level
+        (None when no query knows a feature) and the rows whose total reaches ``DEGENERATE_EPS``."""
+        for batch, feats in _sub_batches(queries, pending, table):
+            level = self._level([queries[i] for i in batch], feats, table)
+            totals = level.totals.tolist() if level is not None else []
+            yield batch, level, [r for r, total in enumerate(totals) if not total < DEGENERATE_EPS]
+
     def walk(
         self, queries: Sequence[EncodedObservation], state: _State | None = None
     ) -> Iterator[Tuple[int, _Level | None, List[int], List[int]]]:
@@ -562,11 +548,8 @@ class Model:
             if not keep:
                 yield depth, None, pending, pending
                 return
-            table = self._table(keep, state)
             degenerate: List[int] = []
-            for batch, feats in _sub_batches(queries, pending, table):
-                level = self._level([queries[i] for i in batch], feats, table)
-                rows = level.decided() if level is not None else []
+            for batch, level, rows in self._levels(queries, pending, self._table(keep, state)):
                 if rows:
                     yield depth, level, rows, [batch[r] for r in rows]
                 done = set(rows)
@@ -579,9 +562,11 @@ class Model:
         [(depth, level, [q], _)] = self.walk([obs], state)
         if level is None:
             return Prediction(dict(state.prior), dict(state.marginal), {}, depth, ())
-        magnitudes = dict(zip(level.table.target_ids, level.magnitudes[q].tolist()))
-        contributions = level.contributions(q) if with_contributions else {}
-        return Prediction(level.distribution(q), magnitudes, contributions, depth, level.kept)
+        target_ids = level.table.target_ids
+        distribution = dict(zip(target_ids, level.probabilities([q])[0].tolist()))
+        magnitudes = dict(zip(target_ids, level.magnitudes[q].tolist()))
+        contributions = level.contributions() if with_contributions else {}
+        return Prediction(distribution, magnitudes, contributions, depth, level.kept)
 
     def predict_labels(self, obs: EncodedObservation, k: int = 1) -> List[Tuple[str, ...]]:
         """Top-k decoded target tuples (multilabel when targets are multi-dimensional)."""
@@ -600,12 +585,10 @@ class Model:
         dims = frozenset(dims)
         if not dims or not queries:
             return [dict(state.prior) for _ in queries]
-        table = self._table(dims, state)
         dists: list = [None] * len(queries)
-        for batch, feats in _sub_batches(queries, range(len(queries)), table):
-            level = self._level([queries[i] for i in batch], feats, table)
-            for r in level.decided() if level is not None else ():
-                dists[batch[r]] = level.distribution(r)
+        for batch, level, rows in self._levels(queries, range(len(queries)), self._table(dims, state)):
+            for r, dist in zip(rows, level.probabilities(rows).tolist() if rows else ()):
+                dists[batch[r]] = dict(zip(level.table.target_ids, dist))
         return dists
 
     def predict_batch(
@@ -623,7 +606,7 @@ class Model:
                 for i in decided:
                     results[i] = (list(ranked), dict(prior), depth)
                 continue
-            probs = level.magnitudes[rows] / level.totals[rows][:, None]
+            probs = level.probabilities(rows)
             # a stable sort keeps ties in row order: the smaller multi-index first
             tops = np.argsort(-probs, axis=1, kind="stable")[:, :k].tolist()
             target_ids = level.table.target_ids

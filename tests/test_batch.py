@@ -5,9 +5,12 @@ level sums every undecided query with one kernel call, and only the queries
 still degenerate go on to the next step.  A query's result must not depend
 on the rest of its batch, bit for bit.
 """
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_model, query_obs
@@ -15,7 +18,8 @@ from sparseborn import _kernels
 from sparseborn import model as model_module
 from sparseborn.data import EncodedObservation
 from sparseborn.errors import ShapeError
-from sparseborn.explain import aggregate_local
+from sparseborn.explain import FeatureAttribution, aggregate_local
+from sparseborn.policy import Policy
 
 # Feature dimension sizes of the vocabulary.  The corpus never uses the last
 # value of dimension 2, so a query holding it misses the full level and
@@ -155,3 +159,60 @@ def test_one_wide_query_among_narrow_ones_keeps_kernel_calls_bounded(monkeypatch
     assert any(n_queries == 1 and n_addends > 60 for n_queries, _, n_addends in calls)
     # an aggregate sums each target's features in query order across sub-batches
     assert repr(aggregate_local(model, queries)) == repr(aggregate)
+
+
+def reference_aggregate(model, queries, k):
+    """``aggregate_local`` from one ``predict`` per query: the moduli of each query's
+    contributions for its top target, summed per (top target, kept dimensions, feature)
+    in query order; each target's candidates ranked by score, ties to the smaller feature
+    index (then the earlier first query), shares over all of them."""
+    buckets = {}  # (top, kept) -> {feature: running sum}, in first-query order
+    for q in queries:
+        prediction = model.predict(q)
+        if not prediction.kept_dims:  # the terminal prior: no feature carried evidence
+            continue
+        top = prediction.top(1)[0][0]
+        sums = buckets.setdefault((top, prediction.kept_dims), {})
+        for (t, f), (modulus, _) in prediction.contributions.items():
+            if t == top:
+                sums[f] = sums.get(f, 0.0) + modulus
+    by_target = {}
+    for (top, kept), sums in buckets.items():
+        by_target.setdefault(top, []).extend((f, s, kept) for f, s in sorted(sums.items()))
+    out = {}
+    for top, candidates in by_target.items():
+        candidates.sort(key=lambda c: c[0])
+        candidates.sort(key=lambda c: -c[1])
+        total = math.fsum(s for _, s, _ in candidates)
+        decoded = model.vocab.decode_target(top)
+        out[decoded] = [
+            FeatureAttribution(
+                decoded, top, model.vocab.decode_feature(f, kept), f, s, s / total if total > 0 else 0.0
+            )
+            for f, s, kept in candidates[:k]
+        ]
+    return list(out.items())
+
+
+POLICIES = (Policy.default(3), Policy.from_lists([[0, 1, 2], [0, 1], [1], []]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(KINDS), max_size=40),
+    phased=st.booleans(),
+    policy=st.sampled_from(POLICIES),
+    batch_addends=st.sampled_from([model_module.BATCH_ADDENDS, 60, 24]),
+    k=st.sampled_from([None, 1, 3]),
+)
+def test_aggregate_equals_summed_single_predictions(seed, kinds, phased, policy, batch_addends, k):
+    rng = np.random.default_rng(seed)
+    entries = corpus(rng)
+    phases = {cell: float(rng.uniform(-2, 2)) for cell in list(entries)[::2]} if phased else None
+    model = make_model(entries, 3, list(SIZES), phases=phases, policy=policy)
+    # the mix reaches depth 0, a middle depth and the prior
+    queries = [query(rng, kind, phased) for kind in ["known", "fallback", "unknown", *kinds]]
+    assume({0, len(policy.steps) - 1} < {depth for _, _, depth in model.predict_batch(queries)})
+    with mock.patch.object(model_module, "BATCH_ADDENDS", batch_addends):
+        assert list(aggregate_local(model, queries, k).items()) == reference_aggregate(model, queries, k)

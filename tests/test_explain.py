@@ -251,12 +251,16 @@ def test_every_ranking_breaks_ties_by_feature_index():
 
 
 EXPLAIN_PY = Path(__file__).resolve().parents[1] / "src" / "sparseborn" / "explain.py"
-LAYOUT = {"span", "qcols", "qtheta", "col_ptr", "rows", "amp", "phi", "lengths", "entry", "_index"}
+LAYOUT = {
+    "span", "qcols", "qtheta", "col_ptr", "rows", "amp", "phi", "lengths", "entry", "_index",
+    "magnitudes", "totals", "modulus", "angle",
+}
 
 
 def test_explanations_read_no_level_layout():
-    # explanations read a level only through _Level.attribution and
-    # _LevelTable.target_weights, so a new query or table layout leaves them as they are
+    # explanations read a level only through _Level.probabilities and _Level.attribution,
+    # and a table through _LevelTable.target_weights, so a new query or table layout
+    # leaves them as they are
     tree = ast.parse(EXPLAIN_PY.read_text())
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert read & LAYOUT == set()

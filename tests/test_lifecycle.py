@@ -10,7 +10,8 @@ every live model:
 
 * its corpus, vocabulary and policy agree in shape;
 * its archive loads, saves to the same bytes, and the loaded model predicts
-  bitwise what it predicts, queries encoded against each one's vocabulary.
+  bitwise what it predicts, queries encoded against each one's vocabulary,
+  plain and normalized.
 
 And the primary's archive is the one ``fit`` writes for every record the
 primary has published, with its hyperparameters and policy.
@@ -68,8 +69,12 @@ def archive(model) -> str:
     return buffer.getvalue()
 
 
+def queries(model, normalize):
+    return encode(QUERIES, model.vocab, normalize=normalize)
+
+
 def predictions(model):
-    return model.predict_batch(encode(QUERIES, model.vocab), k=2)
+    return [model.predict_batch(queries(model, normalize), k=2) for normalize in (False, True)]
 
 
 class ModelLifecycle(RuleBasedStateMachine):
@@ -119,11 +124,11 @@ class ModelLifecycle(RuleBasedStateMachine):
         else:
             self.views[i - 1] = loaded
 
-    @rule(data=st.data())
-    def predict_batch(self, data):
+    @rule(data=st.data(), normalize=st.booleans())
+    def predict_batch(self, data, normalize):
         model = data.draw(st.sampled_from(self.models()))
-        singles = [model.predict(q) for q in encode(QUERIES, model.vocab)]
-        assert [(dist, depth) for _, dist, depth in predictions(model)] == [
+        singles = [model.predict(q) for q in queries(model, normalize)]
+        assert [(dist, depth) for _, dist, depth in model.predict_batch(queries(model, normalize))] == [
             (p.distribution, p.fallback_depth) for p in singles
         ]
 

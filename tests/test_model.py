@@ -1000,3 +1000,36 @@ def test_view_ignores_values_published_after_it_as_its_reload_does():
     [(_, dist, depth)] = view.predict_batch(encode(query, view.vocab))
     assert depth == 1
     assert reloaded.predict_batch(encode(query, reloaded.vocab)) == [(_, dist, depth)]
+
+
+def test_normalized_queries_read_as_their_reload_reads_them():
+    records = [
+        RawRecord(labels=[("label", "a")], features=[("token", "x", 1.0), ("color", "red", 1.0)]),
+        RawRecord(labels=[("label", "b")], features=[("token", "y", 3.0), ("color", "blue", 1.0)]),
+        RawRecord(labels=[("label", "a")], features=[("token", "z", 0.5), ("color", "blue", 1.0)]),
+        RawRecord(labels=[("label", "b")], features=[("token", "w", 2.0), ("color", "red", 1.0)]),
+    ]
+    vocab = Vocabulary()
+    model = fit(encode(records, vocab, grow=True), vocab)
+    policy = Policy.from_lists([[0, 1], [1], []])
+    view = Model(model.corpus, model.vocab, hyper=Hyperparams(0.5, 2, 0.25), policy=policy)
+    archive = io.StringIO()
+    view.save(archive)
+    reloaded = load(io.StringIO(archive.getvalue()))
+    # published after the view: a token, and a label whose queries the view's vocabulary encodes
+    new = RawRecord(labels=[("label", "c")], features=[("token", "q", 1.0), ("color", "red", 1.0)])
+    model.update(encode([new], model.vocab, grow=True))
+    features = [("token", "y", 1.0), ("token", "q", 0.5), ("color", "red", 1.0)]
+    queries = [
+        RawRecord(labels=[], features=features),
+        RawRecord(labels=[("label", "c")], features=features),
+        RawRecord(labels=[("label", "c")], features=[("token", "y", 3.0), ("color", "blue", 2.0)]),
+        RawRecord(labels=[("label", "a")], features=features),
+        RawRecord(labels=[], features=[("token", "q", 2.0), ("color", "red", 1.0)]),
+    ]
+    got = view.predict_batch(encode(queries, view.vocab, normalize=True))
+    assert [depth for _, _, depth in got] == [1, 1, 0, 1, 1]
+    assert reloaded.predict_batch(encode(queries, reloaded.vocab, normalize=True)) == got
+    assert [view.predict(q).distribution for q in encode(queries, view.vocab, normalize=True)] == [
+        reloaded.predict(q).distribution for q in encode(queries, reloaded.vocab, normalize=True)
+    ]
