@@ -91,11 +91,12 @@ def explain_local(
     came from the terminal fallback: no feature carried evidence.
     """
     _check_k(k)
+    target_index = None if target is None else _resolve_target(model, target)  # whichever level decides
     [(_, level, rows, _)] = model.walk([query])
     if level is None:
         return []
     ids = level.table.target_ids
-    target_index = ids[level.probabilities(rows).argmax()] if target is None else _resolve_target(model, target)
+    target_index = ids[level.probabilities(rows).argmax()] if target is None else target_index
     row = ids.index(target_index) if target_index in ids else -1
     _, cols, modulus, angle, _ = level.attribution(rows, [row])
     feats = [level.table.feat_ids[c] for c in cols.tolist()]

@@ -14,6 +14,8 @@ a single query is a batch of one.  A level's two readers serve the rest:
 ``probabilities`` every distribution and top target, ``attribution`` every local explanation.
 The counts do not depend on h, b or p: models that differ only in them can share one corpus,
 held in an immutable published state that :meth:`Model.update` replaces and never changes.
+It fixes the target order, its targets in lexicographic order: each distribution is a row over
+it, and a public call that returns one as a dict builds a new dict.
 """
 from __future__ import annotations
 
@@ -211,24 +213,26 @@ class _LevelTable:
 
 class _State:
     """A published copy of a model's counts, and what is derived from them on first read.
-    ``shape`` is the vocabulary's when published; no attribute is ever reassigned."""
+    ``shape`` is the vocabulary's when published; no attribute is ever reassigned.  ``marginal``
+    is the target order, the corpus targets in lexicographic order (every level table's ``target_ids``,
+    as contraction keeps every target), and the row of their summed weights; ``prior`` normalizes it."""
 
     def __init__(self, corpus: SparseCounts, shape: Tuple[Tuple[int, ...], Tuple[int, ...]]):
         self.corpus, self.shape = corpus.copy(), shape
         self.tables: Dict[FrozenSet[int], _LevelTable] = {}
 
     @cached_property
-    def marginal(self) -> Dict[Index, float]:
+    def marginal(self) -> Tuple[List[Index], List[float]]:
         order, starts = sort_groups(self.corpus.targets)
-        targets = row_tuples(self.corpus.targets[order[starts]])
         weights = self.corpus.weights[order].tolist()
         bounds = np.flatnonzero(starts).tolist() + [len(weights)]
-        return {t: math.fsum(weights[lo:hi]) for t, lo, hi in zip(targets, bounds, bounds[1:])}
+        sums = [math.fsum(weights[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        return row_tuples(self.corpus.targets[order[starts]]), sums
 
     @cached_property
-    def prior(self) -> Dict[Index, float]:
-        total = math.fsum(self.marginal.values())
-        return {t: w / total for t, w in self.marginal.items()}
+    def prior(self) -> List[float]:
+        total = math.fsum(self.marginal[1])
+        return [w / total for w in self.marginal[1]]
 
 
 @dataclass(eq=False)
@@ -237,7 +241,7 @@ class _Level:
 
     ``qcols`` (and ``qtheta``) hold the batch's known columns in the kernels'
     flat layout (see :mod:`._kernels`); row q of ``magnitudes`` holds X_i
-    for each of the table's targets and ``totals[q]`` their sum.
+    for each of the table's targets (X_i / max X where they would overflow) and ``totals[q]`` their sum.
     ``lengths``, ``entry``, ``modulus`` and ``angle`` are the addends the kernel summed.
     :meth:`probabilities` serves every distribution and top target, :meth:`attribution`
     every local explanation, one call for a batch; :meth:`contributions` serves ``predict``.
@@ -424,8 +428,8 @@ class Model:
         return obs if self.vocab.shape() == shape else obs.known(shape)
 
     def target_prior(self) -> Dict[Index, float]:
-        """Normalized target marginal: the terminal fallback distribution."""
-        return self._state.prior
+        """Normalized target marginal: the terminal fallback distribution, a new dict."""
+        return dict(zip(self._state.marginal[0], self._state.prior))
 
     # -- derived tables ------------------------------------------------
 
@@ -516,6 +520,11 @@ class Model:
                 table.col_ptr, table.rows, table.amp, phi, qcols, qpow, theta, acc_re, acc_im
             )
             modulus = np.hypot(acc_re, acc_im)
+        # rows whose X_i or their sum overflow (p < 1 only) hold X_i / max X: one distribution
+        if self.hyper.p < 1 and math.log(modulus.max() or 1.0) / self.hyper.p + math.log(shape[1]) > 709:
+            with np.errstate(over="ignore"):  # exp(709) is within a factor 3 of the largest float
+                big = ~np.isfinite(np.add.reduce(modulus ** (1.0 / self.hyper.p), 1))
+            modulus[big] /= modulus[big].max(1, keepdims=True)
         magnitudes = modulus ** (1.0 / self.hyper.p)
         return _Level(table, qcols, qtheta, magnitudes, np.add.reduce(magnitudes, 1), *addends)
 
@@ -561,7 +570,8 @@ class Model:
         state = self._state
         [(depth, level, [q], _)] = self.walk([obs], state)
         if level is None:
-            return Prediction(dict(state.prior), dict(state.marginal), {}, depth, ())
+            targets, marginal = state.marginal
+            return Prediction(dict(zip(targets, state.prior)), dict(zip(targets, marginal)), {}, depth, ())
         target_ids = level.table.target_ids
         distribution = dict(zip(target_ids, level.probabilities([q])[0].tolist()))
         magnitudes = dict(zip(target_ids, level.magnitudes[q].tolist()))
@@ -573,22 +583,23 @@ class Model:
         return [self.vocab.decode_target(t) for t in self.predict_batch([obs], k)[0][0]]
 
     def predict_at_dims(self, queries, dims: Iterable[int], state: _State | None = None):
-        """Each query's distribution using only the given feature dimensions, None where
-        degenerate, from ``state`` (the published one unless given); a single query gets
-        its own.  Queries are read as given, only their dimension count checked: callers
-        looping over many levels prepare them once with :meth:`_prepare_query`."""
-        if isinstance(queries, EncodedObservation):
-            return self.predict_at_dims([queries], dims, state)[0]
+        """Each query's distribution using only the given feature dimensions, from ``state`` (the
+        published one unless given): a new row over :meth:`target_prior`'s targets, None where degenerate;
+        a single query, prepared as :meth:`predict` prepares it, gets a dict.  Queries of a batch are read
+        as given, only their dimension count checked: prepare them once with :meth:`_prepare_query`."""
         state = state or self._state
+        if isinstance(queries, EncodedObservation):
+            [row] = self.predict_at_dims([self._prepare_query(queries, state)], dims, state)
+            return None if row is None else dict(zip(state.marginal[0], row))
         for obs in queries:
             self._check_dim_count(obs)
         dims = frozenset(dims)
         if not dims or not queries:
-            return [dict(state.prior) for _ in queries]
+            return [list(state.prior) for _ in queries]
         dists: list = [None] * len(queries)
         for batch, level, rows in self._levels(queries, range(len(queries)), self._table(dims, state)):
             for r, dist in zip(rows, level.probabilities(rows).tolist() if rows else ()):
-                dists[batch[r]] = dict(zip(level.table.target_ids, dist))
+                dists[batch[r]] = dist
         return dists
 
     def predict_batch(
@@ -600,16 +611,10 @@ class Model:
         results: list = [None] * len(queries)
         state = self._state
         for depth, level, rows, decided in self.walk(queries, state):
-            if level is None:
-                prior = state.prior
-                ranked = [t for t, _ in sorted(prior.items(), key=lambda kv: (-kv[1], kv[0]))[:k]]
-                for i in decided:
-                    results[i] = (list(ranked), dict(prior), depth)
-                continue
-            probs = level.probabilities(rows)
-            # a stable sort keeps ties in row order: the smaller multi-index first
+            probs = level.probabilities(rows) if level else np.repeat([state.prior], len(rows), 0)
+            target_ids = level.table.target_ids if level else state.marginal[0]
+            # a stable sort keeps ties in row order, the prior's too: the smaller multi-index first
             tops = np.argsort(-probs, axis=1, kind="stable")[:, :k].tolist()
-            target_ids = level.table.target_ids
             for i, dist, top in zip(decided, probs.tolist(), tops):
                 results[i] = ([target_ids[j] for j in top], dict(zip(target_ids, dist)), depth)
         return results

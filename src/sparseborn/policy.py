@@ -134,19 +134,17 @@ def learn_policy(
             raise InvalidRecordError(f"validation record {n} has no labels")
         truths.append(dist)
     all_dims = frozenset(range(model.n_feature_dims))
-    # every distribution is scored as a row over one target order; absent targets add exact zeros
-    targets = list(dict.fromkeys([t for dist in (state.prior, *truths) for t in dist]))
-
-    def row(dist: Mapping[Index, float]) -> List[float]:
-        return [dist.get(t, 0.0) for t in targets]
+    # rows over the published targets, then the validation's others: exact zeros in predictions
+    targets = list(dict.fromkeys([*state.marginal[0], *(t for dist in truths for t in dist)]))
+    pad = [0.0] * (len(targets) - len(state.prior))
 
     def mean_value(rows: Sequence[List[float]]) -> float:
         losses = _row_losses(rows, truth_rows, loss_p)
         return -math.fsum(losses) / len(losses)
 
-    truth_rows = [row(truth) for truth in truths]
+    truth_rows = [[truth.get(t, 0.0) for t in targets] for truth in truths]
     current: FrozenSet[int] = frozenset()
-    current_rows = [row(state.prior)] * len(queries)
+    current_rows = [state.prior + pad] * len(queries)
     current_value = mean_value(current_rows)
     report = PolicySearchReport(loss_p=loss_p)
     report.path.append(((), current_value))
@@ -158,7 +156,7 @@ def learn_policy(
         for d in sorted(all_dims - current):
             dims = current | {d}
             dists = model.predict_at_dims(queries, dims, state)
-            rows = [held if dist is None else row(dist) for dist, held in zip(dists, current_rows)]
+            rows = [held if dist is None else dist + pad for dist, held in zip(dists, current_rows)]
             value = mean_value(rows)
             report.explored.append((tuple(sorted(dims)), value))
             if best_value is None or value > best_value:

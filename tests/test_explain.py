@@ -129,6 +129,15 @@ def test_global_accepts_strings_and_rejects_unknown():
     assert "c0" in str(err.value)
 
 
+@pytest.mark.parametrize("features", [{0: 1.0}, {}])  # the second query reaches the prior
+def test_local_rejects_an_unknown_target_whichever_level_decides(features):
+    model = make_model({((0,), (0,)): 1.0, ((1,), (1,)): 1.0}, 2, [2])
+    q = EncodedObservation(label_weights=(), feature_weights=(features,))
+    assert model.predict(q).fallback_depth == (0 if features else 1)
+    with pytest.raises(UnknownTargetError):
+        explain_local(model, q, target="Dragon")
+
+
 def test_discriminative_recovers_planted_signal():
     rng = np.random.default_rng(44)
     n_targets, n_noise, n_signal = 4, 12, 4

@@ -161,6 +161,16 @@ def test_learn_policy_rejects_out_of_range_feature_index():
         learn_policy(model, [labeled_obs(0, {(0,): 1.0}), labeled_obs(1, {(7,): 1.0})])
 
 
+@pytest.mark.parametrize("index", [7, -1])
+def test_single_query_predict_at_dims_rejects_what_predict_rejects(index):
+    model = make_model({((0,), (0,)): 1.0, ((1,), (1,)): 1.0}, 2, [2])
+    q = EncodedObservation(label_weights=(), feature_weights=({index: 1.0},))
+    with pytest.raises(ShapeError):
+        model.predict(q)
+    with pytest.raises(ShapeError):
+        model.predict_at_dims(q, {0})
+
+
 def test_learn_policy_reads_queries_as_the_views_reload_does(monkeypatch):
     def record(label, x, y, wx=1.0):
         return RawRecord(labels=[("label", label)], features=[("x", x, wx), ("y", y, 1.0)])
