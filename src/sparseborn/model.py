@@ -14,8 +14,8 @@ a single query is a batch of one.  A level's two readers serve the rest:
 ``probabilities`` every distribution and top target, ``attribution`` every local explanation.
 The counts do not depend on h, b or p: models that differ only in them can share one corpus,
 held in an immutable published state that :meth:`Model.update` replaces and never changes.
-It fixes the target order, its targets in lexicographic order: each distribution is a row over
-it, and a public call that returns one as a dict builds a new dict.
+Its targets, sorted once, are the target order: a level table's rows are ranks in it, each distribution
+is a row over it, and a public call that returns one as a dict builds a new dict.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -106,46 +106,36 @@ class PhaseTable:
         return isinstance(other, PhaseTable) and self.entries == other.entries
 
 
-class _Weights(NamedTuple):
-    """The entries of one count tensor, grouped by column and weighed."""
+def _derive_weights(counts: SparseCounts, ranks: np.ndarray, keep, b: float, n_targets: int | None = None):
+    """The counts contracted to the ``keep`` feature dimensions, grouped by column and weighed.
 
-    target_ids: List[Index]
-    feat_ids: List[Index]
-    rows: np.ndarray
-    cols: np.ndarray
-    col_ptr: np.ndarray
-    entropy: np.ndarray
-    ct: np.ndarray
-
-
-def _derive_weights(counts: SparseCounts, b: float, n_targets: int | None = None) -> _Weights:
-    """Sort the entries by (feature, target) and derive both weights from their marginals.
-
-    Rows and columns are the ranks of the target and feature multi-indices
-    in sorted order; ``col_ptr`` delimits each column's run of entries, and
-    one more, empty column after the last that separates batched queries.
-    ``entropy`` is each column's 1 - H/H_max on the artificially balanced
-    corpus: the balanced joint divides each entry by its target's total,
-    the conditional renormalizes per column, and H_max = ln(n_targets)
-    (the number of observed targets when None; at most one target makes
-    every feature perfect signal).  ``ct`` is each entry's
-    C / (colsum^(1-b) * rowsum^b).
+    ``ranks`` is each entry's target rank, every rank to the largest occurring.  One stable sort by
+    (kept features, rank) orders the cells, each cell's entries in arrival order, so a cell's weight
+    is their left-to-right sum, bitwise what :meth:`SparseCounts.keep_feature_dims` stores.  Per cell,
+    rows and columns are the target and kept-feature ranks; ``col_ptr`` delimits each column's run of
+    cells, and one more, empty column after the last that separates batched queries.  ``entropy`` is
+    each column's 1 - H/H_max on the artificially balanced corpus: the balanced joint divides each
+    cell by its target's total, the conditional renormalizes per column, and H_max = ln(n_targets)
+    (the number of observed targets when None; at most one target makes every feature perfect
+    signal).  ``ct`` is each cell's C / (colsum^(1-b) * rowsum^b).
     """
     if not len(counts):
         raise InvalidRecordError("cannot derive weights from an empty corpus")
-    first_target, rows = rank_rows(counts.targets)
-    order = np.lexsort((rows, *counts.features.T[::-1]))
-    feats = counts.features[order]
+    feats = counts.features[:, sorted(keep)]
+    order = np.lexsort((ranks, *feats.T[::-1]))
+    feats, rows, weights = feats[order], ranks[order], counts.weights[order]
     new_col = run_starts(feats)
-    col_ptr = np.append(np.flatnonzero(new_col), (len(feats), len(feats)))
-    target_ids, feat_ids = row_tuples(counts.targets[first_target]), row_tuples(feats[new_col])
-    rows, cols = rows[order].astype(np.int32), np.cumsum(new_col) - 1
-    weights = counts.weights[order]
+    new_cell = new_col | run_starts(rows[:, None])
     # np.bincount adds in entry order: every sum is the left-to-right one, bitwise
-    row_sums = np.bincount(rows, weights, len(target_ids))
+    if not new_cell.all():
+        weights = np.bincount(np.cumsum(new_cell) - 1, weights)
+        feats, rows, new_col = feats[new_cell], rows[new_cell], new_col[new_cell]
+    col_ptr = np.append(np.flatnonzero(new_col), (len(feats), len(feats)))
+    feat_ids, cols = row_tuples(feats[new_col]), np.cumsum(new_col) - 1
+    row_sums = np.bincount(rows, weights)
     col_sums = np.bincount(cols, weights, len(feat_ids))
     if n_targets is None:
-        n_targets = len(target_ids)
+        n_targets = len(row_sums)
     if n_targets <= 1:
         entropy = np.ones(len(feat_ids))
     else:
@@ -155,7 +145,7 @@ def _derive_weights(counts: SparseCounts, b: float, n_targets: int | None = None
         entropy = 1.0 + h_sum / math.log(n_targets)
         np.clip(entropy, 0.0, 1.0, out=entropy)
     ct = weights / (col_sums[cols] ** (1.0 - b) * row_sums[rows] ** b)
-    return _Weights(target_ids, feat_ids, rows, cols, col_ptr, entropy, ct)
+    return feat_ids, rows, cols, col_ptr, entropy, ct
 
 
 def entropy_weights(corpus: SparseCounts, n_targets: int | None = None) -> Dict[Index, float]:
@@ -164,8 +154,9 @@ def entropy_weights(corpus: SparseCounts, n_targets: int | None = None) -> Dict[
     ``n_targets`` is the size of the target index space (H_max = ln of it);
     defaults to the number of distinct observed target multi-indices.
     """
-    derived = _derive_weights(corpus, 1.0, n_targets)  # b shapes only ct, unread here
-    return dict(zip(derived.feat_ids, derived.entropy.tolist()))
+    ranks, all_dims = rank_rows(corpus.targets)[1], range(corpus.feature_dims)  # b shapes only ct
+    feat_ids, _, _, _, entropy, _ = _derive_weights(corpus, ranks, all_dims, 1.0, n_targets)
+    return dict(zip(feat_ids, entropy.tolist()))
 
 
 def weight_tensor(corpus: SparseCounts, b: float) -> Dict[Tuple[Index, Index], float]:
@@ -178,7 +169,9 @@ def weight_tensor(corpus: SparseCounts, b: float) -> Dict[Tuple[Index, Index], f
         raise ValueError("b must be >= 0")
     if not len(corpus):
         return {}
-    target_ids, feat_ids, rows, cols, _, _, ct = _derive_weights(corpus, b)
+    first, ranks = rank_rows(corpus.targets)
+    target_ids = row_tuples(corpus.targets[first])
+    feat_ids, rows, cols, _, _, ct = _derive_weights(corpus, ranks, range(corpus.feature_dims), b)
     return {
         (target_ids[r], feat_ids[c]): w
         for r, c, w in zip(rows.tolist(), cols.tolist(), ct.tolist())
@@ -213,26 +206,40 @@ class _LevelTable:
 
 class _State:
     """A published copy of a model's counts, and what is derived from them on first read.
-    ``shape`` is the vocabulary's when published; no attribute is ever reassigned.  ``marginal``
-    is the target order, the corpus targets in lexicographic order (every level table's ``target_ids``,
-    as contraction keeps every target), and the row of their summed weights; ``prior`` normalizes it."""
+    ``shape`` is the vocabulary's when published; no attribute is ever reassigned.  One stable sort of the
+    corpus targets gives ``target_order``: the targets in lexicographic order (every level table's
+    ``target_ids``, as contraction keeps every target), each entry's rank among them, and the entries by
+    target with each target's bounds.  ``marginal`` is the targets and the row of their groups' summed
+    weights; ``prior`` normalizes it."""
 
     def __init__(self, corpus: SparseCounts, shape: Tuple[Tuple[int, ...], Tuple[int, ...]]):
         self.corpus, self.shape = corpus.copy(), shape
         self.tables: Dict[FrozenSet[int], _LevelTable] = {}
 
     @cached_property
-    def marginal(self) -> Tuple[List[Index], List[float]]:
+    def target_order(self) -> Tuple[List[Index], np.ndarray, np.ndarray, List[int]]:
         order, starts = sort_groups(self.corpus.targets)
+        ranks = np.empty(len(order), dtype=np.int32)  # a level table's rows
+        ranks[order] = np.cumsum(starts) - 1
+        bounds = np.flatnonzero(starts).tolist() + [len(order)]
+        return row_tuples(self.corpus.targets[order[starts]]), ranks, order, bounds
+
+    @cached_property
+    def marginal(self) -> Tuple[List[Index], List[float]]:
+        targets, _, order, bounds = self.target_order
         weights = self.corpus.weights[order].tolist()
-        bounds = np.flatnonzero(starts).tolist() + [len(weights)]
-        sums = [math.fsum(weights[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-        return row_tuples(self.corpus.targets[order[starts]]), sums
+        return targets, [math.fsum(weights[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     @cached_property
     def prior(self) -> List[float]:
         total = math.fsum(self.marginal[1])
         return [w / total for w in self.marginal[1]]
+
+
+class _Prepared(list):
+    """Queries as :meth:`Model._prepare_query` prepared them for the published ``state``."""
+
+    __slots__ = ("state",)
 
 
 @dataclass(eq=False)
@@ -401,13 +408,6 @@ class Model:
     def n_feature_dims(self) -> int:
         return self._state.corpus.feature_dims
 
-    def _check_dim_count(self, obs: EncodedObservation) -> None:
-        if len(obs.feature_weights) != len(self.vocab.feature_dims):
-            raise ShapeError(
-                f"query has {obs.n_feature_dims} feature dimensions, "
-                f"model has {len(self.vocab.feature_dims)}"
-            )
-
     def _prepare_query(self, obs: EncodedObservation, state: _State | None = None) -> EncodedObservation:
         """``obs`` as a reload of ``state`` (the published one unless given) reads it.
 
@@ -415,7 +415,9 @@ class Model:
         rejected; values the vocabulary gained since ``state`` was published are
         dropped, and a normalized query rescaled, as encoding against the reload would.
         """
-        self._check_dim_count(obs)
+        n_dims = len(self.vocab.feature_dims)
+        if obs.n_feature_dims != n_dims:
+            raise ShapeError(f"query has {obs.n_feature_dims} feature dimensions, model has {n_dims}")
         for d, dim_map in enumerate(obs.feature_weights):
             size = len(self.vocab.feature_dims[d])
             for idx in dim_map:
@@ -426,6 +428,14 @@ class Model:
                     )
         shape = (state or self._state).shape
         return obs if self.vocab.shape() == shape else obs.known(shape)
+
+    def _prepare(self, queries: Sequence[EncodedObservation], state: _State) -> "_Prepared":
+        """Each query as :meth:`_prepare_query` prepares it for ``state``; a batch prepared for it is kept."""
+        if isinstance(queries, _Prepared) and queries.state is state:
+            return queries
+        prepared = _Prepared([self._prepare_query(obs, state) for obs in queries])
+        prepared.state = state
+        return prepared
 
     def target_prior(self) -> Dict[Index, float]:
         """Normalized target marginal: the terminal fallback distribution, a new dict."""
@@ -441,14 +451,13 @@ class Model:
         return table
 
     def _build_table(self, keep: FrozenSet[int], state: _State) -> _LevelTable:
-        full = keep == frozenset(range(self.n_feature_dims))
-        corpus = state.corpus if full else state.corpus.keep_feature_dims(keep)
-        target_ids, feat_ids, rows, cols, col_ptr, entropy, ct = _derive_weights(
-            corpus, self.hyper.b, math.prod(state.shape[0])
+        target_ids, ranks, _, _ = state.target_order
+        feat_ids, rows, cols, col_ptr, entropy, ct = _derive_weights(
+            state.corpus, ranks, keep, self.hyper.b, math.prod(state.shape[0])
         )
         amp = entropy[cols] ** self.hyper.h * ct ** self.hyper.p
         phi = None
-        if self.phases and full:
+        if self.phases and len(keep) == self.n_feature_dims:
             phi = np.array(
                 [
                     self.phases.get(target_ids[r], feat_ids[c])
@@ -549,7 +558,7 @@ class Model:
         unless given) decides.
         """
         state = state or self._state
-        queries = [self._prepare_query(obs, state) for obs in queries]
+        queries = self._prepare(queries, state)
         pending = list(range(len(queries)))
         for depth, keep in enumerate(self.policy.steps):
             if not pending:
@@ -585,15 +594,15 @@ class Model:
     def predict_at_dims(self, queries, dims: Iterable[int], state: _State | None = None):
         """Each query's distribution using only the given feature dimensions, from ``state`` (the
         published one unless given): a new row over :meth:`target_prior`'s targets, None where degenerate;
-        a single query, prepared as :meth:`predict` prepares it, gets a dict.  Queries of a batch are read
-        as given, only their dimension count checked: prepare them once with :meth:`_prepare_query`."""
-        state = state or self._state
+        a single query gets a dict.  Queries are prepared as :meth:`predict` prepares them, a batch
+        that :meth:`_prepare` returned for ``state`` only once."""
+        state, dims = state or self._state, frozenset(dims)
+        if dims - frozenset(range(self.n_feature_dims)):
+            raise ShapeError(f"feature dimensions {sorted(dims)} outside 0..{self.n_feature_dims - 1}")
         if isinstance(queries, EncodedObservation):
-            [row] = self.predict_at_dims([self._prepare_query(queries, state)], dims, state)
-            return None if row is None else dict(zip(state.marginal[0], row))
-        for obs in queries:
-            self._check_dim_count(obs)
-        dims = frozenset(dims)
+            [row] = self.predict_at_dims([queries], dims, state)
+            return None if row is None else dict(zip(state.target_order[0], row))
+        queries = self._prepare(queries, state)
         if not dims or not queries:
             return [list(state.prior) for _ in queries]
         dists: list = [None] * len(queries)

@@ -119,16 +119,19 @@ def learn_policy(
     starts; the previous state's prediction stands wherever the estimate
     degenerates to zero.  Value ties between extensions go to the lowest
     dimension ordinal; the search stops at the full set or when no extension
-    improves the current value.
+    improves the current value.  A query or label outside the vocabulary raises ShapeError.
     """
     if not validation:
         raise InvalidRecordError("validation set is empty")
     state = model._state
-    # predict_at_dims reads each query as given; each is prepared once here
-    queries: List[EncodedObservation] = []
+    queries = model._prepare(validation, state)  # once: every predict_at_dims call keeps them
+    sizes = [len(dim) for dim in model.vocab.target_dims]
     truths: List[Dict[Index, float]] = []
     for n, obs in enumerate(validation):
-        queries.append(model._prepare_query(obs, state))
+        if len(obs.label_weights) != len(sizes) or any(
+            not 0 <= i < size for labels, size in zip(obs.label_weights, sizes) for i in labels
+        ):
+            raise ShapeError(f"validation record {n} has a label outside the vocabulary")
         dist = obs.target_distribution()
         if not dist:
             raise InvalidRecordError(f"validation record {n} has no labels")

@@ -169,6 +169,38 @@ def test_single_query_predict_at_dims_rejects_what_predict_rejects(index):
         model.predict(q)
     with pytest.raises(ShapeError):
         model.predict_at_dims(q, {0})
+    with pytest.raises(ShapeError):
+        model.predict_at_dims([q], {0})
+
+
+def _two_record_model():
+    """y: a/b; x: u, v, w."""
+    records = [RawRecord([("y", "a")], [("x", "u", 1.0), ("x", "v", 1.0)]),
+               RawRecord([("y", "b")], [("x", "v", 1.0), ("x", "w", 1.0)])]
+    vocab = Vocabulary()
+    validation = encode(records, vocab, grow=True)
+    return fit(validation, vocab), validation
+
+
+@pytest.mark.parametrize("labels", [({7: 1.0},), ({-1: 1.0},), ({0: 1.0}, {0: 1.0})])
+def test_learn_policy_rejects_a_label_the_vocabulary_cannot_hold(labels):
+    model, validation = _two_record_model()
+    q = EncodedObservation(label_weights=labels, feature_weights=({0: 1.0},))
+    with pytest.raises(ShapeError):
+        learn_policy(model, validation + [q])
+
+
+def test_a_label_without_counts_is_a_zero_padded_truth():
+    model, validation = _two_record_model()
+    _, report = learn_policy(model, validation)
+    assert report.path == [((), -0.5 ** 1.5), ((0,), -0.0)]
+    model.vocab.target_dims[0].encode("c", grow=True)
+    q = EncodedObservation(label_weights=({2: 1.0},), feature_weights=({0: 1.0},))
+    _, report = learn_policy(model, validation + [q])
+    # predictions give c probability 0: the truth's row is (0, 0, 1)
+    prior_loss, u_loss = 0.5 * math.sqrt(0.5), 0.5 * math.sqrt(2.0)
+    assert report.path == [((), -math.fsum([prior_loss] * 2 + [0.5 * math.sqrt(1.5)]) / 3),
+                           ((0,), -u_loss / 3)]
 
 
 def test_learn_policy_reads_queries_as_the_views_reload_does(monkeypatch):
