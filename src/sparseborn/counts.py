@@ -12,7 +12,8 @@ insertion order and each weight is the left-to-right sum, in arrival order,
 of everything added to its cell: bitwise what a dict keyed by
 ``(target, feature)`` holds, in its iteration order.  The arrays are
 read-only and replaced on every change, which :meth:`SparseCounts.add_rows`
-alone makes; reads never change them.
+alone makes; reads never change them.  What is derived from the arrays alone
+is kept in a memo that every copy over them shares and a change replaces.
 """
 from __future__ import annotations
 
@@ -95,7 +96,7 @@ class SparseCounts:
     prediction time.
     """
 
-    __slots__ = ("target_dims", "feature_dims", "_keys", "_weights")
+    __slots__ = ("target_dims", "feature_dims", "_keys", "_weights", "_memo")
 
     def __init__(
         self,
@@ -149,7 +150,7 @@ class SparseCounts:
     def _set(self, keys: np.ndarray, weights: np.ndarray) -> None:
         keys.setflags(write=False)
         weights.setflags(write=False)
-        self._keys, self._weights = keys, weights
+        self._keys, self._weights, self._memo = keys, weights, {}
 
     @property
     def keys(self) -> np.ndarray:
@@ -225,7 +226,16 @@ class SparseCounts:
         )
 
     def copy(self) -> "SparseCounts":
-        return SparseCounts._of(self.target_dims, self.feature_dims, self._keys, self._weights)
+        out = SparseCounts._of(self.target_dims, self.feature_dims, self._keys, self._weights)
+        out._memo = self._memo  # same arrays, same derivations, until either side changes
+        return out
+
+    def _derived(self, derive, *args):
+        """``derive(self, *args)``, computed once for these arrays and shared by every copy of them."""
+        key = (derive, *args)
+        if key not in self._memo:  # racing derivations all return the first one stored
+            self._memo.setdefault(key, derive(self, *args))
+        return self._memo[key]
 
     def iadd(self, other: "SparseCounts") -> "SparseCounts":
         """In-place entrywise sum.  No code in the package calls it, but perfbench's

@@ -12,15 +12,17 @@ whenever every X_i is zero.  :meth:`Model.walk` takes a batch of queries
 down the policy, each level summing the undecided ones with one kernel call;
 a single query is a batch of one.  A level's two readers serve the rest:
 ``probabilities`` every distribution and top target, ``attribution`` every local explanation.
-The counts do not depend on h, b or p: models that differ only in them can share one corpus,
-held in an immutable published state that :meth:`Model.update` replaces and never changes.
-Its targets, sorted once, are the target order: a level table's rows are ranks in it, each distribution
-is a row over it, and a public call that returns one as a dict builds a new dict.
+The counts do not depend on h, b or p: models that differ only in them share one corpus, held in
+an immutable published state that :meth:`Model.update` replaces and never changes, and what is derived
+from it alone: each level's layout and the target order, its targets sorted once.  A level table adds
+what h, b, p and the phases decide; its rows are ranks in the target order, each distribution is a row
+over it, and a public call that returns one as a dict builds a new dict.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -30,7 +32,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence,
 import numpy as np
 
 from . import _kernels
-from .counts import Index, SparseCounts, _index_matrix, rank_rows, row_tuples, run_starts, sort_groups
+from .counts import Index, SparseCounts, _index_matrix, row_tuples, run_starts, sort_groups
 from .data import EncodedObservation, Vocabulary, joint_rows
 from .errors import ArchiveError, InvalidRecordError, ShapeError
 from .policy import Policy
@@ -106,21 +108,38 @@ class PhaseTable:
         return isinstance(other, PhaseTable) and self.entries == other.entries
 
 
-def _derive_weights(counts: SparseCounts, ranks: np.ndarray, keep, b: float, n_targets: int | None = None):
-    """The counts contracted to the ``keep`` feature dimensions, grouped by column and weighed.
+def _target_order(counts: SparseCounts) -> Tuple[List[Index], np.ndarray, np.ndarray, List[int]]:
+    """One stable sort of the targets: the targets in lexicographic order (every level table's
+    ``target_ids``, as contraction keeps every target), each entry's rank among them, and the entries
+    by target with each target's bounds."""
+    order, starts = sort_groups(counts.targets)
+    ranks = np.empty(len(order), dtype=np.int32)  # a level table's rows
+    ranks[order] = np.cumsum(starts) - 1
+    bounds = np.flatnonzero(starts).tolist() + [len(order)]
+    return row_tuples(counts.targets[order[starts]]), ranks, order, bounds
 
-    ``ranks`` is each entry's target rank, every rank to the largest occurring.  One stable sort by
-    (kept features, rank) orders the cells, each cell's entries in arrival order, so a cell's weight
-    is their left-to-right sum, bitwise what :meth:`SparseCounts.keep_feature_dims` stores.  Per cell,
-    rows and columns are the target and kept-feature ranks; ``col_ptr`` delimits each column's run of
-    cells, and one more, empty column after the last that separates batched queries.  ``entropy`` is
-    each column's 1 - H/H_max on the artificially balanced corpus: the balanced joint divides each
-    cell by its target's total, the conditional renormalizes per column, and H_max = ln(n_targets)
-    (the number of observed targets when None; at most one target makes every feature perfect
-    signal).  ``ct`` is each cell's C / (colsum^(1-b) * rowsum^b).
-    """
+
+# What a level table derives from the counts alone, per keep-set and target-space size: per cell its target
+# rank (``rows``), column and contracted weight; ``col_ptr`` delimits each column's cells, then an empty
+# column that separates batched queries; the row and column sums, and each column's 1 - H/H_max.
+_Layout = namedtuple("_Layout", "feat_ids feat_pos rows cols col_ptr weights row_sums col_sums entropy")
+
+
+def _balanced(layout: _Layout, b: float) -> np.ndarray:
+    """Each cell's C / (colsum^(1-b) * rowsum^b)."""
+    return layout.weights / (layout.col_sums[layout.cols] ** (1.0 - b) * layout.row_sums[layout.rows] ** b)
+
+
+def _derive_weights(counts: SparseCounts, keep: FrozenSet[int], n_targets: int) -> _Layout:
+    """The counts contracted to the ``keep`` feature dimensions and grouped by column.  One stable sort by
+    (kept features, target rank) orders the cells, each cell's entries in arrival order, so a cell's weight is
+    their left-to-right sum, bitwise what :meth:`SparseCounts.keep_feature_dims` stores.  ``entropy`` is each
+    column's 1 - H/H_max on the artificially balanced corpus: the balanced joint divides each cell by its
+    target's total, the conditional renormalizes per column, and H_max = ln(n_targets) (at most one target
+    makes every feature perfect signal)."""
     if not len(counts):
         raise InvalidRecordError("cannot derive weights from an empty corpus")
+    ranks = counts._derived(_target_order)[1]
     feats = counts.features[:, sorted(keep)]
     order = np.lexsort((ranks, *feats.T[::-1]))
     feats, rows, weights = feats[order], ranks[order], counts.weights[order]
@@ -134,8 +153,6 @@ def _derive_weights(counts: SparseCounts, ranks: np.ndarray, keep, b: float, n_t
     feat_ids, cols = row_tuples(feats[new_col]), np.cumsum(new_col) - 1
     row_sums = np.bincount(rows, weights)
     col_sums = np.bincount(cols, weights, len(feat_ids))
-    if n_targets is None:
-        n_targets = len(row_sums)
     if n_targets <= 1:
         entropy = np.ones(len(feat_ids))
     else:
@@ -144,19 +161,22 @@ def _derive_weights(counts: SparseCounts, ranks: np.ndarray, keep, b: float, n_t
         h_sum = np.bincount(cols, conditional * np.log(conditional), len(feat_ids))
         entropy = 1.0 + h_sum / math.log(n_targets)
         np.clip(entropy, 0.0, 1.0, out=entropy)
-    ct = weights / (col_sums[cols] ** (1.0 - b) * row_sums[rows] ** b)
-    return feat_ids, rows, cols, col_ptr, entropy, ct
+    feat_pos = dict(zip(feat_ids, range(len(feat_ids))))
+    return _Layout(feat_ids, feat_pos, rows, cols, col_ptr, weights, row_sums, col_sums, entropy)
 
 
 def entropy_weights(corpus: SparseCounts, n_targets: int | None = None) -> Dict[Index, float]:
     """Entropy weight per feature multi-index, in [0, 1].
 
-    ``n_targets`` is the size of the target index space (H_max = ln of it);
-    defaults to the number of distinct observed target multi-indices.
+    ``n_targets`` is the size of the target index space (H_max = ln of it): an integer
+    at least the number of distinct observed target multi-indices, the default.
     """
-    ranks, all_dims = rank_rows(corpus.targets)[1], range(corpus.feature_dims)  # b shapes only ct
-    feat_ids, _, _, _, entropy, _ = _derive_weights(corpus, ranks, all_dims, 1.0, n_targets)
-    return dict(zip(feat_ids, entropy.tolist()))
+    observed = len(corpus._derived(_target_order)[0])
+    n_targets = observed if n_targets is None else n_targets
+    if not (isinstance(n_targets, (int, np.integer)) and n_targets >= observed):
+        raise ValueError(f"n_targets must be an integer >= the {observed} observed targets")
+    layout = corpus._derived(_derive_weights, frozenset(range(corpus.feature_dims)), n_targets)
+    return dict(zip(layout.feat_ids, layout.entropy.tolist()))
 
 
 def weight_tensor(corpus: SparseCounts, b: float) -> Dict[Tuple[Index, Index], float]:
@@ -165,16 +185,15 @@ def weight_tensor(corpus: SparseCounts, b: float) -> Dict[Tuple[Index, Index], f
     b=0 gives the column-conditional (targets given feature), b=1 the
     row-conditional (features given target).
     """
-    if not b >= 0:
-        raise ValueError("b must be >= 0")
+    if not (b >= 0 and math.isfinite(b)):
+        raise ValueError("b must be finite and >= 0")
     if not len(corpus):
         return {}
-    first, ranks = rank_rows(corpus.targets)
-    target_ids = row_tuples(corpus.targets[first])
-    feat_ids, rows, cols, _, _, ct = _derive_weights(corpus, ranks, range(corpus.feature_dims), b)
+    target_ids = corpus._derived(_target_order)[0]
+    layout = corpus._derived(_derive_weights, frozenset(range(corpus.feature_dims)), len(target_ids))
     return {
-        (target_ids[r], feat_ids[c]): w
-        for r, c, w in zip(rows.tolist(), cols.tolist(), ct.tolist())
+        (target_ids[r], layout.feat_ids[c]): w
+        for r, c, w in zip(layout.rows.tolist(), layout.cols.tolist(), _balanced(layout, b).tolist())
     }
 
 
@@ -205,24 +224,18 @@ class _LevelTable:
 
 
 class _State:
-    """A published copy of a model's counts, and what is derived from them on first read.
-    ``shape`` is the vocabulary's when published; no attribute is ever reassigned.  One stable sort of the
-    corpus targets gives ``target_order``: the targets in lexicographic order (every level table's
-    ``target_ids``, as contraction keeps every target), each entry's rank among them, and the entries by
-    target with each target's bounds.  ``marginal`` is the targets and the row of their groups' summed
-    weights; ``prior`` normalizes it."""
+    """A published copy of a model's counts, and what is derived from them on first read.  ``shape`` is the
+    vocabulary's when published; no attribute is ever reassigned.  ``target_order`` and the level layouts are
+    the counts' own, shared by every model over them, and ``tables`` this model's.  ``marginal`` is the
+    targets and the row of their groups' summed weights; ``prior`` normalizes it."""
 
     def __init__(self, corpus: SparseCounts, shape: Tuple[Tuple[int, ...], Tuple[int, ...]]):
         self.corpus, self.shape = corpus.copy(), shape
         self.tables: Dict[FrozenSet[int], _LevelTable] = {}
 
-    @cached_property
+    @property
     def target_order(self) -> Tuple[List[Index], np.ndarray, np.ndarray, List[int]]:
-        order, starts = sort_groups(self.corpus.targets)
-        ranks = np.empty(len(order), dtype=np.int32)  # a level table's rows
-        ranks[order] = np.cumsum(starts) - 1
-        bounds = np.flatnonzero(starts).tolist() + [len(order)]
-        return row_tuples(self.corpus.targets[order[starts]]), ranks, order, bounds
+        return self.corpus._derived(_target_order)
 
     @cached_property
     def marginal(self) -> Tuple[List[Index], List[float]]:
@@ -237,7 +250,7 @@ class _State:
 
 
 class _Prepared(list):
-    """Queries as :meth:`Model._prepare_query` prepared them for the published ``state``."""
+    """Queries as :meth:`Model._prepare` prepared them for the published ``state``."""
 
     __slots__ = ("state",)
 
@@ -408,32 +421,23 @@ class Model:
     def n_feature_dims(self) -> int:
         return self._state.corpus.feature_dims
 
-    def _prepare_query(self, obs: EncodedObservation, state: _State | None = None) -> EncodedObservation:
-        """``obs`` as a reload of ``state`` (the published one unless given) reads it.
-
-        A query of the wrong shape or with an index outside the vocabulary is
-        rejected; values the vocabulary gained since ``state`` was published are
-        dropped, and a normalized query rescaled, as encoding against the reload would.
-        """
-        n_dims = len(self.vocab.feature_dims)
-        if obs.n_feature_dims != n_dims:
-            raise ShapeError(f"query has {obs.n_feature_dims} feature dimensions, model has {n_dims}")
-        for d, dim_map in enumerate(obs.feature_weights):
-            size = len(self.vocab.feature_dims[d])
-            for idx in dim_map:
-                if not 0 <= idx < size:
-                    raise ShapeError(
-                        f"feature index {idx} out of bounds for dimension "
-                        f"{self.vocab.feature_dims[d].name!r} (size {size})"
-                    )
-        shape = (state or self._state).shape
-        return obs if self.vocab.shape() == shape else obs.known(shape)
-
     def _prepare(self, queries: Sequence[EncodedObservation], state: _State) -> "_Prepared":
-        """Each query as :meth:`_prepare_query` prepares it for ``state``; a batch prepared for it is kept."""
+        """Each query as a reload of ``state`` reads it, and a batch prepared for ``state`` as it is.  A query
+        of the wrong shape or with an index outside the vocabulary is rejected; values the vocabulary gained
+        since ``state`` was published are dropped, and a normalized query rescaled, as encoding would."""
         if isinstance(queries, _Prepared) and queries.state is state:
             return queries
-        prepared = _Prepared([self._prepare_query(obs, state) for obs in queries])
+        shape = self.vocab.shape()
+        sizes = shape[1]
+        for obs in queries:
+            if obs.n_feature_dims != len(sizes):
+                raise ShapeError(f"query has {obs.n_feature_dims} feature dimensions, model has {len(sizes)}")
+            for d, (size, dim_map) in enumerate(zip(sizes, obs.feature_weights)):
+                for idx in dim_map:
+                    if not 0 <= idx < size:
+                        raise ShapeError(f"feature index {idx} out of bounds for dimension "
+                                         f"{self.vocab.feature_dims[d].name!r} (size {size})")
+        prepared = _Prepared(queries if shape == state.shape else [obs.known(state.shape) for obs in queries])
         prepared.state = state
         return prepared
 
@@ -451,26 +455,22 @@ class Model:
         return table
 
     def _build_table(self, keep: FrozenSet[int], state: _State) -> _LevelTable:
-        target_ids, ranks, _, _ = state.target_order
-        feat_ids, rows, cols, col_ptr, entropy, ct = _derive_weights(
-            state.corpus, ranks, keep, self.hyper.b, math.prod(state.shape[0])
-        )
-        amp = entropy[cols] ** self.hyper.h * ct ** self.hyper.p
+        target_ids = state.target_order[0]
+        layout = state.corpus._derived(_derive_weights, keep, math.prod(state.shape[0]))
+        amp = layout.entropy[layout.cols] ** self.hyper.h * _balanced(layout, self.hyper.b) ** self.hyper.p
         phi = None
         if self.phases and len(keep) == self.n_feature_dims:
             phi = np.array(
                 [
-                    self.phases.get(target_ids[r], feat_ids[c])
-                    for r, c in zip(rows.tolist(), cols.tolist())
+                    self.phases.get(target_ids[r], layout.feat_ids[c])
+                    for r, c in zip(layout.rows.tolist(), layout.cols.tolist())
                 ],
                 dtype=np.float64,
             )
             if not phi.any():
                 phi = None
-        feat_pos = dict(zip(feat_ids, range(len(feat_ids))))
-        return _LevelTable(
-            keep, target_ids, feat_ids, feat_pos, col_ptr, rows, amp, phi, entropy
-        )
+        grouping = layout.feat_ids, layout.feat_pos, layout.col_ptr, layout.rows
+        return _LevelTable(keep, target_ids, *grouping, amp, phi, layout.entropy)
 
     # -- prediction ----------------------------------------------------
 

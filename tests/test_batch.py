@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import make_model, query_obs
 from sparseborn import _kernels
 from sparseborn import model as model_module
-from sparseborn.data import EncodedObservation
+from sparseborn.data import EncodedObservation, Vocabulary
 from sparseborn.errors import ShapeError
 from sparseborn.explain import FeatureAttribution, aggregate_local
 from sparseborn.policy import Policy
@@ -216,3 +216,14 @@ def test_aggregate_equals_summed_single_predictions(seed, kinds, phased, policy,
     assume({0, len(policy.steps) - 1} < {depth for _, _, depth in model.predict_batch(queries)})
     with mock.patch.object(model_module, "BATCH_ADDENDS", batch_addends):
         assert list(aggregate_local(model, queries, k).items()) == reference_aggregate(model, queries, k)
+
+
+def test_one_batch_reads_the_vocabulary_shape_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    model = make_model(corpus(rng), 3, list(SIZES))
+    queries = [query(rng, kind, False) for kind in KINDS * 3]
+    reads = []
+    shape = Vocabulary.shape
+    monkeypatch.setattr(Vocabulary, "shape", lambda vocab: reads.append(vocab) or shape(vocab))
+    model.predict_batch(queries)
+    assert len(reads) == 1

@@ -108,7 +108,7 @@ def test_the_targets_are_sorted_once_per_state(monkeypatch):
     sort_groups = model_module.sort_groups
     monkeypatch.setattr(model_module, "sort_groups",
                         lambda keys: sorted_keys.append(keys) or sort_groups(keys))
-    monkeypatch.setattr(model_module, "rank_rows", None)
+    monkeypatch.setattr(model_module, "rank_rows", None, raising=False)
     monkeypatch.setattr(SparseCounts, "keep_feature_dims", None)
 
     def read_every_way(model):

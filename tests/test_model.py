@@ -248,6 +248,28 @@ def test_weight_tensor_half_example():
     assert ct[((1,), (0,))] == pytest.approx(1.0 / (5**0.5 * 1**0.5), abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "weigh",
+    [
+        lambda c: weight_tensor(c, b=math.inf),
+        lambda c: weight_tensor(c, b=math.nan),
+        lambda c: weight_tensor(c, b=-1.0),
+        lambda c: entropy_weights(c, n_targets=0),
+        lambda c: entropy_weights(c, n_targets=-3),
+        lambda c: entropy_weights(c, n_targets=math.inf),
+        lambda c: entropy_weights(c, n_targets=2.5),
+        lambda c: entropy_weights(c, n_targets=2),
+    ],
+    ids=["b=inf", "b=nan", "b=-1", "n=0", "n=-3", "n=inf", "n=2.5", "n=2<3 observed"],
+)
+def test_weights_reject_a_bad_balance_or_target_space(weigh):
+    corpus = SparseCounts(1, 1, {((0,), (0,)): 1.0, ((1,), (0,)): 2.0, ((2,), (1,)): 1.0})
+    with pytest.raises(ValueError):
+        weigh(corpus)
+    assert entropy_weights(corpus, n_targets=3) == entropy_weights(corpus)
+    assert entropy_weights(corpus, n_targets=np.int64(4)) == entropy_weights(corpus, n_targets=4)
+
+
 # -- prediction ------------------------------------------------------------
 
 

@@ -276,7 +276,7 @@ ZOO = load_tabular(
 
 def reference_search(model, validation, loss_p):
     """One single-query predict_at_dims call per (state, query), scored with p_norm_loss."""
-    queries = [model._prepare_query(obs) for obs in validation]
+    queries = list(model._prepare(validation, model._state))
     truths = [obs.target_distribution() for obs in validation]
 
     def mean_value(preds):
