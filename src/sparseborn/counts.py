@@ -12,8 +12,8 @@ insertion order and each weight is the left-to-right sum, in arrival order,
 of everything added to its cell: bitwise what a dict keyed by
 ``(target, feature)`` holds, in its iteration order.  The arrays are
 read-only and replaced on every change, which :meth:`SparseCounts.add_rows`
-alone makes; reads never change them.  What is derived from the arrays alone
-is kept in a memo that every copy over them shares and a change replaces.
+alone makes; reads never change them.  Every copy over the arrays shares what is
+derived from them alone and the shapes their keys were checked to fit; a change replaces both.
 """
 from __future__ import annotations
 
@@ -96,7 +96,7 @@ class SparseCounts:
     prediction time.
     """
 
-    __slots__ = ("target_dims", "feature_dims", "_keys", "_weights", "_memo")
+    __slots__ = ("target_dims", "feature_dims", "_keys", "_weights", "_memo", "_checked")
 
     def __init__(
         self,
@@ -150,7 +150,7 @@ class SparseCounts:
     def _set(self, keys: np.ndarray, weights: np.ndarray) -> None:
         keys.setflags(write=False)
         weights.setflags(write=False)
-        self._keys, self._weights, self._memo = keys, weights, {}
+        self._keys, self._weights, self._memo, self._checked = keys, weights, {}, set()
 
     @property
     def keys(self) -> np.ndarray:
@@ -227,7 +227,7 @@ class SparseCounts:
 
     def copy(self) -> "SparseCounts":
         out = SparseCounts._of(self.target_dims, self.feature_dims, self._keys, self._weights)
-        out._memo = self._memo  # same arrays, same derivations, until either side changes
+        out._memo, out._checked = self._memo, self._checked  # same arrays: same derivations and checks
         return out
 
     def _derived(self, derive, *args):

@@ -199,13 +199,9 @@ def _predict_labels(
     return [model.vocab.decode_target(ranked[0]) for ranked, _, _ in results]
 
 
-def _label_dims(records: Sequence[RawRecord]) -> List[str]:
-    """Target dimension names in first-seen order."""
-    return list(dict.fromkeys(dim for rec in records for dim, _ in rec.labels))
-
-
-def _truth_labels(records: Sequence[RawRecord], dims: Sequence[str]) -> List[Tuple[str, ...]]:
-    labels = []
+def _truth_labels(records: Sequence[RawRecord], vocab: Vocabulary) -> List[Tuple[str, ...]]:
+    """Each record's first value per target dimension of ``vocab``, in the order predictions decode."""
+    dims, labels = [dim.name for dim in vocab.target_dims], []
     for rec in records:
         by_dim = {}
         for dim, value in rec.labels:
@@ -243,12 +239,11 @@ def repeated_split_experiment(
     names = [name for name, _ in configs]
     per_run_f1: Dict[str, List[float]] = {name: [] for name in names}
     sums: Dict[str, List[float]] = {name: [0.0] * len(_MEANS) for name in names}
-    label_dims = _label_dims(records)
     for train_idx, test_idx in splits:
         counts = _fit_counts([records[i] for i in train_idx], normalize)
         test = [records[i] for i in test_idx]
         queries = encode(test, counts.vocab, grow=False)
-        truths = _truth_labels(test, label_dims)
+        truths = _truth_labels(test, counts.vocab)
         for name, config in configs:
             report = score(_predict_labels(counts, config, queries), truths)
             per_run_f1[name].append(report.weighted_f1)
@@ -277,13 +272,12 @@ def holdout_experiment(
     """Single fit on ``train`` scored on ``test``; wall-clock times reported."""
     if not train or not test:
         raise InvalidRecordError("train and test sets must both be nonempty")
-    label_dims = _label_dims(train)
     t0 = time.perf_counter()
     counts = _fit_counts(train, normalize)
     t1 = time.perf_counter()
     queries = encode(test, counts.vocab, grow=False)
     predictions = _predict_labels(counts, config, queries)
     t2 = time.perf_counter()
-    truths = _truth_labels(test, label_dims)
+    truths = _truth_labels(test, counts.vocab)
     report = score(predictions, truths)
     return report, {"train_seconds": t1 - t0, "predict_seconds": t2 - t1}

@@ -36,22 +36,16 @@ def _resolve_target(model: Model, target) -> Index:
     """Accept a multi-index, a decoded tuple, or a bare string (1-dim targets)."""
     if isinstance(target, str):
         target = (target,)
-    values = tuple(target)
+    values, dims = tuple(target), model.vocab.target_dims
     if all(isinstance(v, int) for v in values):
-        index = values
-        for dim, i in zip(model.vocab.target_dims, index):
-            if not 0 <= i < len(dim):
-                index = None
-                break
-        if index is not None and len(values) == len(model.vocab.target_dims):
-            return index
-        valid = [dim.values for dim in model.vocab.target_dims]
+        known = len(values) == len(dims) and all(0 <= i < len(dim) for dim, i in zip(dims, values))
+        index = values if known else None
+    else:
+        index = model.vocab.encode_target([str(v) for v in values])
+    if index is None:
+        valid = [dim.values for dim in dims]
         raise UnknownTargetError(target, valid[0] if len(valid) == 1 else valid)
-    encoded = model.vocab.encode_target([str(v) for v in values])
-    if encoded is None:
-        valid = model.vocab.target_dims[0].values if model.vocab.target_dims else []
-        raise UnknownTargetError(target, valid)
-    return encoded
+    return index
 
 
 def _check_k(k: int | None) -> None:

@@ -8,10 +8,10 @@ evaluated with the accumulation kernels.  The prediction rule is
     X_i = | sum_j exp(i(theta_j - phi_ij)) * Ht_j^h * Ct_ij^p * X_j^p |^(1/p)
 
 normalized over targets, with the policy's contraction chain applied
-whenever every X_i is zero.  :meth:`Model.walk` takes a batch of queries
-down the policy, each level summing the undecided ones with one kernel call;
-a single query is a batch of one.  A level's two readers serve the rest:
-``probabilities`` every distribution and top target, ``attribution`` every local explanation.
+whenever every X_i is zero.  :meth:`Model.walk` is the one loop over levels: it takes a batch down the
+policy, or the keep-sets given, each level summing the undecided queries with one kernel call; a single
+query is a batch of one, and :meth:`Model.predict_at_dims` a walk of one step.  A level's two readers
+serve the rest: ``probabilities`` every distribution and top target, ``attribution`` every local explanation.
 The counts do not depend on h, b or p: models that differ only in them share one corpus, held in
 an immutable published state that :meth:`Model.update` replaces and never changes, and what is derived
 from it alone: each level's layout and the target order, its targets sorted once.  A level table adds
@@ -364,10 +364,10 @@ def _check_phases(phases: PhaseTable, shape: Tuple[Tuple[int, ...], Tuple[int, .
 class Model:
     """A trained classifier: corpus, vocabulary, hyperparameters, phases, policy.
 
-    Every prediction, single or batched, and every local explanation reads
-    the one batch walk, :meth:`walk`, which reads the published :class:`_State`
-    once: a prediction that starts before an :meth:`update` finishes on the old
-    state.  Concurrent prediction is safe; two updates at once are not.
+    Every prediction, single, batched or at chosen dimensions, and every local
+    explanation reads the one batch walk, :meth:`walk`, which reads the published
+    :class:`_State` once: a prediction that starts before an :meth:`update`
+    finishes on the old state.  Concurrent prediction is safe; two updates at once are not.
     """
 
     def __init__(
@@ -380,8 +380,10 @@ class Model:
     ):
         if corpus.target_dims != vocab.n_target_dims or corpus.feature_dims != vocab.n_feature_dims:
             raise ShapeError("corpus shape does not match vocabulary")
-        self._state = _State(corpus, vocab.shape())
-        _check_indices(corpus.keys, self._state.shape)
+        state = self._state = _State(corpus, vocab.shape())
+        if state.shape not in state.corpus._checked:  # once per set of counts and shape
+            _check_indices(corpus.keys, state.shape)
+            state.corpus._checked.add(state.shape)
         self._hyper = hyper or Hyperparams()
         self._phases = phases or PhaseTable()
         if self._phases:
@@ -537,41 +539,39 @@ class Model:
         magnitudes = modulus ** (1.0 / self.hyper.p)
         return _Level(table, qcols, qtheta, magnitudes, np.add.reduce(magnitudes, 1), *addends)
 
-    def _levels(self, queries, pending: Iterable[int], table: _LevelTable):
-        """Each sub-batch of the ``pending`` queries at ``table``'s level: its positions, its level
-        (None when no query knows a feature) and the rows whose total reaches ``DEGENERATE_EPS``."""
-        for batch, feats in _sub_batches(queries, pending, table):
-            level = self._level([queries[i] for i in batch], feats, table)
-            totals = level.totals.tolist() if level is not None else []
-            yield batch, level, [r for r, total in enumerate(totals) if not total < DEGENERATE_EPS]
-
     def walk(
-        self, queries: Sequence[EncodedObservation], state: _State | None = None
+        self,
+        queries: Sequence[EncodedObservation],
+        state: _State | None = None,
+        steps: Sequence[FrozenSet[int]] | None = None,
     ) -> Iterator[Tuple[int, _Level | None, List[int], List[int]]]:
-        """Follow the policy for a batch, each query to its first nondegenerate level.
+        """Follow ``steps`` (the policy's keep-sets unless given) for a batch, each query to its first
+        nondegenerate level.
 
-        Yields (depth, level, rows, decided) for each sub-batch of a step that
-        decides some queries: those at positions ``decided`` are predicted by
-        rows ``rows`` of ``level``, whose addends are the evidence; the others
-        go on, in sub-batches that bound the kernels' arrays.  The terminal
-        (empty) step has no level: the prior of ``state`` (the published one
-        unless given) decides.
+        Yields (depth, level, rows, decided) for each sub-batch of a step that decides some queries: those
+        at positions ``decided`` are predicted by rows ``rows`` of ``level``, whose addends are the evidence;
+        the others go on, in sub-batches that bound the kernels' arrays, and a query that no step decides
+        is never yielded.  An empty keep-set is terminal and has no level: the prior of ``state`` (the
+        published one unless given) decides.  :meth:`predict_at_dims` is a walk of one step.
         """
         state = state or self._state
         queries = self._prepare(queries, state)
         pending = list(range(len(queries)))
-        for depth, keep in enumerate(self.policy.steps):
+        for depth, keep in enumerate(self.policy.steps if steps is None else steps):
             if not pending:
                 return
             if not keep:
                 yield depth, None, pending, pending
                 return
+            table = self._table(keep, state)
             degenerate: List[int] = []
-            for batch, level, rows in self._levels(queries, pending, self._table(keep, state)):
+            for batch, feats in _sub_batches(queries, pending, table):
+                level = self._level([queries[i] for i in batch], feats, table)
+                totals = level.totals.tolist() if level is not None else [0.0] * len(batch)
+                rows = [r for r, total in enumerate(totals) if not total < DEGENERATE_EPS]
                 if rows:
                     yield depth, level, rows, [batch[r] for r in rows]
-                done = set(rows)
-                degenerate += [i for r, i in enumerate(batch) if r not in done]
+                degenerate += [i for i, total in zip(batch, totals) if total < DEGENERATE_EPS]
             pending = degenerate
 
     def predict(self, obs: EncodedObservation, with_contributions: bool = True) -> Prediction:
@@ -594,21 +594,19 @@ class Model:
     def predict_at_dims(self, queries, dims: Iterable[int], state: _State | None = None):
         """Each query's distribution using only the given feature dimensions, from ``state`` (the
         published one unless given): a new row over :meth:`target_prior`'s targets, None where degenerate;
-        a single query gets a dict.  Queries are prepared as :meth:`predict` prepares them, a batch
-        that :meth:`_prepare` returned for ``state`` only once."""
+        a single query gets a dict.  A :meth:`walk` of the one step ``dims``, which prepares the queries
+        as :meth:`predict` does, a batch that :meth:`_prepare` returned for ``state`` only once."""
         state, dims = state or self._state, frozenset(dims)
         if dims - frozenset(range(self.n_feature_dims)):
             raise ShapeError(f"feature dimensions {sorted(dims)} outside 0..{self.n_feature_dims - 1}")
         if isinstance(queries, EncodedObservation):
             [row] = self.predict_at_dims([queries], dims, state)
             return None if row is None else dict(zip(state.target_order[0], row))
-        queries = self._prepare(queries, state)
-        if not dims or not queries:
-            return [list(state.prior) for _ in queries]
         dists: list = [None] * len(queries)
-        for batch, level, rows in self._levels(queries, range(len(queries)), self._table(dims, state)):
-            for r, dist in zip(rows, level.probabilities(rows).tolist() if rows else ()):
-                dists[batch[r]] = dist
+        for _, level, rows, decided in self.walk(queries, state, (dims,)):
+            found = level.probabilities(rows).tolist() if level else [list(state.prior) for _ in rows]
+            for i, dist in zip(decided, found):
+                dists[i] = dist
         return dists
 
     def predict_batch(
@@ -619,9 +617,9 @@ class Model:
             raise ValueError("k must be >= 1")
         results: list = [None] * len(queries)
         state = self._state
+        target_ids = state.target_order[0]
         for depth, level, rows, decided in self.walk(queries, state):
             probs = level.probabilities(rows) if level else np.repeat([state.prior], len(rows), 0)
-            target_ids = level.table.target_ids if level else state.marginal[0]
             # a stable sort keeps ties in row order, the prior's too: the smaller multi-index first
             tops = np.argsort(-probs, axis=1, kind="stable")[:, :k].tolist()
             for i, dist, top in zip(decided, probs.tolist(), tops):

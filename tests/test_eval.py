@@ -208,3 +208,17 @@ def test_repeated_split_fits_each_split_once(monkeypatch):
         assert result.per_run_f1 == expected.per_run_f1
         assert result.to_table() == expected.to_table()
     assert result.per_run_f1["quantum"] != result.per_run_f1["classic"]
+
+
+def test_truths_follow_each_splits_own_target_dimensions():
+    # a label map may list the dimensions in any order; the last record lists lang first, and a
+    # training split that meets it first decodes its predictions as (lang, topic)
+    def rec(topic, lang, lang_first=False):
+        labels = [("topic", topic), ("lang", lang)]
+        features = [("token", f"{topic}-word", 1.0), ("token", f"{lang}-word", 1.0)]
+        return RawRecord(labels[::-1] if lang_first else labels, features)
+
+    records = [rec("sport", "en"), rec("tech", "en"), rec("sport", "de"), rec("tech", "de", True)] * 5
+    result = repeated_split_experiment(records, 5, 0.3)
+    assert result.means["quantum"].accuracy == 1.0
+    assert holdout_experiment(records, records)[0].accuracy == 1.0

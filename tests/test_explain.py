@@ -8,14 +8,15 @@ import pytest
 
 from helpers import make_model, query_obs, random_matrix_corpus, random_query
 from oracle import DenseOracle
-from sparseborn.data import EncodedObservation
-from sparseborn.errors import UnknownTargetError
+from sparseborn.data import EncodedObservation, RawRecord, Vocabulary, encode
+from sparseborn.errors import SchemaError, UnknownTargetError
 from sparseborn.explain import (
     aggregate_local,
     discriminative_features,
     explain_global,
     explain_local,
 )
+from sparseborn.model import fit
 
 
 def test_local_single_feature_gets_all():
@@ -273,3 +274,39 @@ def test_explanations_read_no_level_layout():
     tree = ast.parse(EXPLAIN_PY.read_text())
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert read & LAYOUT == set()
+
+
+def _two_dimension_model():
+    vocab = Vocabulary()
+    records = [
+        RawRecord([("topic", t), ("lang", lang)], [("token", f"{t}-{lang}", 1.0)])
+        for t in ("sport", "tech") for lang in ("en", "de")
+    ]
+    return fit(encode(records, vocab, grow=True), vocab)
+
+
+@pytest.mark.parametrize(
+    "target", [("sport", "fr"), ("golf", "en"), (0, 2), (2, 0), (-1, 0), (0,), (0, 0, 0)]
+)
+def test_an_unknown_target_lists_every_dimensions_values(target):
+    model = _two_dimension_model()
+    with pytest.raises(UnknownTargetError) as err:
+        explain_global(model, target)
+    assert err.value.valid == [["sport", "tech"], ["en", "de"]]
+    assert str(err.value) == f"unknown target {target!r}; valid targets: ['sport', 'tech'], ['en', 'de']"
+
+
+def test_a_known_target_resolves_by_values_or_by_index():
+    model = _two_dimension_model()
+    assert explain_global(model, ("tech", "de")) == explain_global(model, (1, 1))
+    assert explain_global(model, (1, 1))[0].target == ("tech", "de")
+    with pytest.raises(SchemaError):
+        explain_global(model, ("tech",))
+
+
+def test_an_integer_target_out_of_range_lists_the_one_dimensions_values():
+    model = make_model({((0,), (0,)): 1.0, ((1,), (1,)): 1.0}, 2, [2])
+    for target in ((2,), (-1,), (0, 0)):
+        with pytest.raises(UnknownTargetError) as err:
+            explain_global(model, target)
+        assert str(err.value) == f"unknown target {target!r}; valid targets: c0, c1"

@@ -20,6 +20,7 @@ import pytest
 from sparseborn import model as model_module
 from sparseborn.counts import SparseCounts
 from sparseborn.data import RawRecord, Vocabulary, encode, load_tabular
+from sparseborn.errors import ShapeError
 from sparseborn.evaluate import DEFAULT_CONFIGS, repeated_split_experiment
 from sparseborn.model import Hyperparams, Model, PhaseTable, fit
 
@@ -209,3 +210,32 @@ def test_the_memo_is_not_part_of_the_counts_or_the_archive():
     warm.save(archives[0])
     cold.save(archives[1])
     assert archives[0].getvalue() == archives[1].getvalue()
+
+
+def test_a_second_view_over_the_same_counts_and_shape_checks_no_key(monkeypatch):
+    model, checked = _fit(ZOO), []
+    real = model_module._check_indices
+
+    def spy(keys, shape):
+        checked.append(shape)
+        real(keys, shape)
+
+    monkeypatch.setattr(model_module, "_check_indices", spy)
+    Model(model.corpus, model.vocab, hyper=Hyperparams(0, 0, 1))
+    Model(model.corpus, model.vocab)
+    assert checked == []
+    encode([RawRecord([("type", "Dragon")], [("hair", "scales", 1.0)])], model.vocab, grow=True)
+    larger = model.vocab.shape()
+    Model(model.corpus, model.vocab)  # a larger shape: its keys are checked again, once
+    Model(model.corpus, model.vocab, hyper=Hyperparams(0, 0, 1))
+    assert checked == [larger]
+
+
+def test_a_failed_key_check_is_not_remembered():
+    model = _fit(ZOO)
+    n_types = len(model.vocab.target_dims[0])
+    beyond = model.corpus.add_rows([[n_types] + [0] * model.n_feature_dims], [1.0])  # one type too many
+    for _ in range(2):
+        with pytest.raises(ShapeError, match="outside the vocabulary"):
+            Model(beyond, model.vocab)
+    assert not beyond._checked
