@@ -1,10 +1,9 @@
 """Data ingestion: vocabularies, tokenization, and record encoding.
 
-Raw records pair named target dimensions (labels) with named feature
-dimensions (tokens with multiplicities).  Encoding maps strings to dense
-per-dimension integer indices and represents each observation in product
-form: one count map per dimension plus a global scale, from which the
-joint counts are an outer product.
+Raw records pair named target dimensions (labels) with named feature dimensions (tokens with
+multiplicities).  Encoding maps strings to dense per-dimension integer indices and represents each
+observation in product form: one count map per dimension plus a global scale.  A batch's joint counts,
+the outer products of its maps, are one numpy expansion, each weight multiplied left to right.
 """
 from __future__ import annotations
 
@@ -15,6 +14,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import chain
 from typing import Collection, Dict, Iterable, List, Sequence, Tuple
 
@@ -222,13 +222,9 @@ class EncodedObservation:
     def has_labels(self) -> bool:
         return bool(self.label_weights) and all(m for m in self.label_weights)
 
-    def target_product(self) -> Dict[Index, float]:
-        """Outer product of the per-dimension label maps (no scale)."""
-        return _outer(self.label_weights, 1.0)
-
     def target_distribution(self) -> Dict[Index, float]:
         """Normalized label distribution (one-hot for single-label records)."""
-        product = self.target_product()
+        product = _outer(self.label_weights, 1.0)
         total = math.fsum(product.values())
         if total <= 0:
             return {}
@@ -270,21 +266,39 @@ class EncodedObservation:
 
 def joint_rows(
     observations: Iterable[EncodedObservation], target_dims: int, feature_dims: int
-) -> Tuple[np.ndarray, List[float]]:
-    """The joint counts of many observations, in order, as int64 key rows
-    (target then feature coordinates) and their weights."""
-    coords: List[int] = []  # flat, row after row; shaped once at the end
-    weights: List[float] = []
-    all_dims = range(feature_dims)
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Joint counts of many observations, in order: int64 key rows (target then feature coordinates)
+    by one array expansion (:func:`_expand`), weighted ``(1.0·l0·l1·…) * (scale·w0·w1·…)`` left to right."""
+    maps, scales = [], []  # the maps observation after observation, each in dimension order
     for obs in observations:
         if len(obs.label_weights) != target_dims or obs.n_feature_dims != feature_dims:
             raise SchemaError("observation shape does not match requested tensor shape")
-        feats = obs.features_at(all_dims)
-        for tgt, tw in obs.target_product().items():
-            coords.extend(chain.from_iterable(tgt + feat for feat in feats))
-            weights.extend([tw * fw for fw in feats.values()])
-    keys = np.array(coords, dtype=np.int64).reshape(len(weights), target_dims + feature_dims)
-    return keys, weights
+        maps += (*obs.label_weights, *obs.feature_weights)
+        scales.append(obs.scale)
+    keys, factors, cells = _expand(maps, len(scales), target_dims + feature_dims)
+    feature_weights = reduce(np.multiply, factors[target_dims:], np.repeat(scales, cells))
+    return keys, reduce(np.multiply, factors[:target_dims], 1.0) * feature_weights
+
+
+def _expand(maps: List[Dict[int, float]], n: int, width: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Key rows of the outer products of ``maps``, ``width`` per observation, cells in mixed radix order;
+    each cell's weight in every map, a row per dimension; and each observation's number of cells."""
+    sizes = np.fromiter(map(len, maps), np.int64, len(maps)).reshape(n, width)
+    cells = sizes.prod(axis=1)
+    index = np.fromiter(chain.from_iterable(maps), np.int64, int(sizes.sum()))
+    value = np.fromiter(chain.from_iterable(map(dict.values, maps)), np.float64, len(index))
+    if (sizes == 1).all():  # one cell per observation: its maps' values are a row
+        return index.reshape(n, width), value.reshape(n, width).T, cells
+    local, at = np.arange(cells.sum()), np.empty(cells.sum(), np.int64)
+    local -= np.repeat(np.cumsum(cells) - cells, cells)  # each cell's number in its observation
+    firsts = np.cumsum(sizes).reshape(n, width) - sizes  # where each map starts in index and value
+    keys, factors = np.empty((len(local), width), np.int64), np.empty((width, len(local)))
+    for d in range(width - 1, -1, -1):  # digits last to first, in place: the peak stays near the outputs
+        np.divmod(local, np.repeat(sizes[:, d], cells), out=(local, at))
+        at += np.repeat(firsts[:, d], cells)
+        keys[:, d] = index[at]
+        factors[d] = value[at]
+    return keys, factors, cells
 
 
 def _open_maybe(source, mode="r", **kw):
@@ -463,9 +477,6 @@ def encode(
     try:
         for n, rec in enumerate(records):
             try:  # one handler for the whole record: no field is type-checked on its own
-                for _, _, mult in rec.features:
-                    if not (mult > 0 and math.isfinite(mult)):
-                        raise InvalidRecordError("feature multiplicity must be positive and finite")
                 if grow and not rec.labels:
                     raise InvalidRecordError("training record has no label")
                 labels = [(name, value, 1.0) for name, value in rec.labels]
@@ -487,13 +498,9 @@ def encode(
     # observation spans the full vocabulary.
     for obs in out:
         if len(obs.label_weights) < vocab.n_target_dims:
-            obs.label_weights = obs.label_weights + tuple(
-                {} for _ in range(vocab.n_target_dims - len(obs.label_weights))
-            )
+            obs.label_weights += tuple({} for _ in range(vocab.n_target_dims - len(obs.label_weights)))
         if len(obs.feature_weights) < vocab.n_feature_dims:
-            obs.feature_weights = obs.feature_weights + tuple(
-                {} for _ in range(vocab.n_feature_dims - len(obs.feature_weights))
-            )
+            obs.feature_weights += tuple({} for _ in range(vocab.n_feature_dims - len(obs.feature_weights)))
     return out
 
 
@@ -505,19 +512,22 @@ def _normal_scale(label_maps, feature_maps) -> float:
 
 
 def _count(items, dims: List[Dimension], dim_of, grow: bool) -> List[Dict[int, float]]:
-    """Sum the weights of (dimension name, value, weight) items into one {index: weight} map
-    per dimension of ``dims``; ``dim_of`` resolves each name once, in first-seen order."""
+    """Sum the weights, each checked, of (dimension name, value, weight) items into one {index: weight}
+    map per dimension of ``dims``; ``dim_of`` resolves each name once, in first-seen order."""
     resolved: Dict[str, int | None] = {}
     for name, _, _ in items:
         if name not in resolved:
             resolved[name] = dim_of(name, create=grow)
     maps: List[Dict[int, float]] = [{} for _ in dims]
     for name, value, weight in items:
+        if not (weight > 0 and math.isfinite(weight)):
+            raise InvalidRecordError("feature multiplicity must be positive and finite")
         d = resolved[name]
         if d is None:
             continue
-        idx = dims[d].encode(value, grow=grow)
-        if idx is None:
-            continue
-        maps[d][idx] = maps[d].get(idx, 0.0) + float(weight)
+        idx = dims[d]._index.get(value)
+        if idx is None and grow:
+            idx = dims[d].encode(value, grow=True)
+        if idx is not None:
+            maps[d][idx] = maps[d].get(idx, 0.0) + float(weight)
     return maps

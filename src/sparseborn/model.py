@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -76,6 +76,8 @@ class Hyperparams:
     p: float = 0.5
 
     def __post_init__(self):
+        if bool in {type(self.h), type(self.b), type(self.p)}:
+            raise TypeError("h, b and p must be numbers, not booleans")
         if not (self.h >= 0 and math.isfinite(self.h)):
             raise ValueError("h must be finite and >= 0")
         if not (self.b >= 0 and math.isfinite(self.b)):
@@ -91,6 +93,8 @@ class PhaseTable:
         entries: Dict[Tuple[Index, Index], float] = {}
         if phi:
             for key, angle in phi.items():
+                if bool in set(map(type, (angle, *key[0], *key[1]))):
+                    raise TypeError("phase angles and coordinates must be numbers, not booleans")
                 angle = float(angle)
                 if not math.isfinite(angle):
                     raise ValueError("phase angles must be finite")
@@ -710,9 +714,10 @@ def load(source) -> Model:
     try:
         if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
             with open(source, "rb") as fh:  # json decodes the UTF-8 bytes itself
-                payload = json.loads(fh.read())
+                text = fh.read()
         else:
-            payload = json.load(source)
+            text = source.read()
+        payload = json.loads(text)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ArchiveError(f"cannot read model archive: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != ARCHIVE_FORMAT:
@@ -737,13 +742,13 @@ def load(source) -> Model:
         if [d.values for d in dims] != archived:
             raise ValueError("dimension names and values must be distinct")
         hyper = Hyperparams(**payload["hyper"])
+        # JSON true and false read as 1 and 0: where the text holds either word, no number may be one
+        if any(w in text for w in (("true", "false") if isinstance(text, str) else (b"true", b"false"))):
+            cells = chain.from_iterable(cell[0] + cell[1] + cell[2:] for cell in payload["corpus"])
+            if bool in set(map(type, chain(cells, chain.from_iterable(payload["policy"])))):
+                raise TypeError("corpus cells and policy dimensions must hold numbers, not booleans")
         corpus = SparseCounts.from_cells(vocab.n_target_dims, vocab.n_feature_dims, payload["corpus"])
-        phases = PhaseTable(
-            {
-                (tuple(tgt), tuple(feat)): float(angle)
-                for tgt, feat, angle in payload.get("phases", [])
-            }
-        )
+        phases = PhaseTable({(tuple(t), tuple(f)): angle for t, f, angle in payload.get("phases", [])})
         policy = Policy.from_lists(payload["policy"])
         return Model(corpus, vocab, hyper=hyper, phases=phases, policy=policy)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -237,3 +237,26 @@ def _reference_maps(dims, items, grow):
             index = dims[name][value]
             maps[name][index] = maps[name].get(index, 0.0) + float(weight)
     return list(maps.values())
+
+
+def reference_joint_rows(observations, target_dims, feature_dims):
+    """Joint counts cell by cell, as ``joint_rows`` computed them before its array expansion:
+    every target cell (first dimension outermost) with every feature cell.  A target weight is
+    ``1.0`` times each label weight, a feature weight the scale times each feature weight, left
+    to right, and a cell's weight the target's times the feature's."""
+    rows, weights = [], []
+    for obs in observations:
+        assert len(obs.label_weights) == target_dims and len(obs.feature_weights) == feature_dims
+        features = _reference_cells(obs.feature_weights, obs.scale)
+        for tgt, tw in _reference_cells(obs.label_weights, 1.0):
+            rows.extend(tgt + feat for feat, _ in features)
+            weights.extend(tw * fw for _, fw in features)
+    return rows, weights
+
+
+def _reference_cells(maps, factor):
+    """(multi-index, ``factor`` times its weights) for each cell of the outer product of ``maps``."""
+    cells = [((), factor)]
+    for dim_map in maps:
+        cells = [(index + (i,), w * wi) for index, w in cells for i, wi in dim_map.items()]
+    return cells

@@ -11,6 +11,7 @@ import io
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,3 +81,45 @@ def test_one_replaced_leaf_is_rejected_or_round_trips(data):
     for dim in model.vocab.target_dims + model.vocab.feature_dims:
         assert isinstance(dim.name, str)
         assert all(isinstance(value, str) for value in dim.values)
+
+
+@pytest.mark.parametrize(
+    "path, number",
+    [
+        (("corpus", 0, 0, 0), 0),  # a target coordinate
+        (("corpus", 1, 1, 13), 1),  # a feature coordinate
+        (("corpus", 0, 2), 2.0),  # a weight
+        (("hyper", "h"), 1.0),
+        (("hyper", "b"), 1.0),
+        (("hyper", "p"), 0.5),
+        (("policy", 0, 1), 1),  # a dimension ordinal
+        (("phases", 0, 0, 0), 0),  # a phase's target coordinate
+        (("phases", 0, 1, 15), 0),  # a phase's feature coordinate
+        (("phases", 0, 2), 0.5),  # an angle
+    ],
+    ids=lambda part: ".".join(map(str, part)) if isinstance(part, tuple) else None,
+)
+@pytest.mark.parametrize("boolean", [True, False])
+def test_a_json_boolean_is_not_a_number(path, number, boolean):
+    """JSON ``true`` and ``false`` are ints to Python: where the archive holds a number,
+    ``load`` must reject them rather than read 1 or 0."""
+    payload = json.loads(ARCHIVE)
+    payload["phases"] = [[[0], [0] * 16, 0.5]]
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = number
+    sb.load(io.StringIO(json.dumps(payload)))  # the number itself loads
+    node[path[-1]] = boolean
+    with pytest.raises(ArchiveError, match="boolean"):
+        sb.load(io.StringIO(json.dumps(payload)))
+
+
+def test_an_archive_whose_strings_say_true_and_false_loads():
+    """``load`` looks for booleans among the numbers only when the text holds the words; a
+    name or value spelling them is not a boolean."""
+    payload = json.loads(ARCHIVE)
+    payload["feature_dims"][0]["values"][:2] = ["true", "false"]
+    text = json.dumps(payload, separators=(",", ":")) + "\n"
+    assert saved(sb.load(io.StringIO(text))) == text
+    assert saved(sb.load(io.BytesIO(text.encode()))) == text
