@@ -7,10 +7,10 @@ operation runs in time proportional to the number of nonzeros.
 
 The n nonzeros are coalesced arrays: an int64 key matrix of shape
 (n, target_dims + feature_dims), whose column blocks are ``targets`` and
-``features``, and float64 ``weights`` of shape (n,).  Rows are in first-
-insertion order and each weight is the left-to-right sum, in arrival order,
-of everything added to its cell: bitwise what a dict keyed by
-``(target, feature)`` holds, in its iteration order.  The arrays are
+``features``, and float64 ``weights`` of shape (n,).  Rows are in key
+order, the order archives store, and each weight is the left-to-right sum,
+in arrival order, of everything added to its cell: bitwise what a dict
+keyed by ``(target, feature)`` holds, listed by key.  The arrays are
 read-only and replaced on every change, which :meth:`SparseCounts.add_rows`
 alone makes; reads never change them.  Every copy over the arrays shares what is
 derived from them alone and the shapes their keys were checked to fit; a change replaces both.
@@ -18,6 +18,8 @@ derived from them alone and the shapes their keys were checked to fit; a change 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple
 
@@ -30,13 +32,23 @@ Key = Tuple[Index, Index]
 
 
 def sort_groups(keys: np.ndarray):
-    """Stable lexicographic row order, and a mask marking where each run of equal rows starts."""
+    """Stable lexicographic row order, and a mask marking where each run of equal rows starts.  Rows sort as
+    one int64 mixed-radix code of their offsets from each column's least value, by timsort, linear on a
+    presorted run: sorted rows then a batch cost the batch's sort.  Codes past int64 fall back to np.lexsort."""
     n, width = keys.shape
-    if width == 1:
-        order = np.argsort(keys[:, 0], kind="stable")
-    else:
-        order = np.lexsort(keys.T[::-1]) if width else np.arange(n)
-    return order, run_starts(keys[order])
+    if not (n and width):
+        return np.arange(n), run_starts(keys)
+    columns = keys.T.copy()  # a row per column: numpy reduces a tall, narrow matrix along axis 0 slowly
+    low = columns.min(1)
+    radix = [high - least + 1 for high, least in zip(columns.max(1).tolist(), low.tolist())]
+    *strides, size = accumulate(radix[::-1], mul, initial=1)
+    if size >> 63:
+        order = np.lexsort(columns[::-1])
+        return order, run_starts(keys[order])
+    code = strides[::-1] @ np.subtract(columns, low[:, None], out=columns)
+    del columns  # the sort does not need it: freed now, it does not add to a fit's peak memory
+    order = code.argsort(kind="stable")
+    return order, run_starts(code[order, None])
 
 
 def run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -56,17 +68,10 @@ def rank_rows(keys: np.ndarray):
 
 
 def _coalesce(keys: np.ndarray, weights: np.ndarray):
-    """Sum the weights of equal key rows; cells come out in first-insertion order.
-
-    ``np.bincount`` adds in row order, so every total is the left-to-right sum
-    a dict accumulator would produce, bitwise.
-    """
-    first, group = rank_rows(keys)  # the stable sort finds each group's earliest row
-    if len(first) == len(keys):
-        return keys, weights
-    totals = np.bincount(group, weights, len(first))
-    by_arrival = np.argsort(first)
-    return keys[first[by_arrival]], totals[by_arrival]
+    """Sum the weights of equal key rows; cells come out in key order.  ``np.bincount`` adds in row
+    order, so every total is the left-to-right sum a dict accumulator would produce, bitwise."""
+    first, group = rank_rows(keys)
+    return keys[first], np.bincount(group, weights, len(first))
 
 
 def row_tuples(rows: np.ndarray) -> list:
@@ -117,14 +122,9 @@ class SparseCounts:
 
     @classmethod
     def from_cells(cls, target_dims: int, feature_dims: int, cells) -> "SparseCounts":
-        """Counts from ``[target, feature, weight]`` cells with list coordinates.
-
-        Cells in strictly increasing key order with positive finite weights,
-        as :meth:`Model.save` writes them, are taken as they are: on small
-        archives the sort and the checks in :meth:`add_rows` would add about
-        a third to the time of a load.  Any other cells go through
-        :meth:`add_rows`.
-        """
+        """Counts from ``[target, feature, weight]`` cells with list coordinates.  Cells in strictly
+        increasing key order with positive finite weights, as :meth:`Model.save` writes them, are taken as
+        they are: on small archives :meth:`add_rows` would add a sixth to a load.  Others go through it."""
         width = target_dims + feature_dims
         # one flat list of coordinates, so no per-cell container outlives its step
         flat = [
@@ -185,9 +185,9 @@ class SparseCounts:
     def add_rows(self, keys, weights) -> "SparseCounts":
         """Accumulate each row's weight at its cell, in row order; all-or-nothing.
 
-        A key row is the target then the feature coordinates.  The rows are
-        checked in full before the arrays are replaced by new ones.
-        """
+        A key row is the target then the feature coordinates.  The rows are checked in full before the
+        arrays are replaced by new ones.  The stored rows, a sorted run, go ahead of the new ones: the sort
+        costs the batch's, and each cell's stored sum comes before its new rows, in arrival order."""
         keys = _index_matrix(keys, self.target_dims + self.feature_dims)
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(keys),):

@@ -20,11 +20,12 @@ over it, and a public call that returns one as a dict builds a new dict.
 """
 from __future__ import annotations
 
+import gc
 import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -45,6 +46,19 @@ DEGENERATE_EPS = 1e-300
 
 # Addends one kernel call gathers at most, unless one query alone has more.
 BATCH_ADDENDS = 1 << 14
+
+
+def _collector_paused(func):
+    """``func`` with the cyclic collector paused, then as it was: collections would rescan an archive's lists."""
+    @wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            (gc.enable if enabled else gc.disable)()
+    return paused
 
 
 def _sub_batches(queries, pending: Iterable[int], table: "_LevelTable"):
@@ -136,7 +150,7 @@ def _balanced(layout: _Layout, b: float) -> np.ndarray:
 
 def _derive_weights(counts: SparseCounts, keep: FrozenSet[int], n_targets: int) -> _Layout:
     """The counts contracted to the ``keep`` feature dimensions and grouped by column.  One stable sort by
-    (kept features, target rank) orders the cells, each cell's entries in arrival order, so a cell's weight is
+    (kept features, target rank) orders the cells, each cell's entries in the store's key order, so its weight is
     their left-to-right sum, bitwise what :meth:`SparseCounts.keep_feature_dims` stores.  ``entropy`` is each
     column's 1 - H/H_max on the artificially balanced corpus: the balanced joint divides each cell by its
     target's total, the conditional renormalizes per column, and H_max = ln(n_targets) (at most one target
@@ -653,10 +667,10 @@ class Model:
 
     # -- persistence ---------------------------------------------------
 
+    @_collector_paused
     def save(self, sink) -> None:
         """Write the published state as a JSON archive; deterministic byte-for-byte."""
         state = self._state
-        order, _ = sort_groups(state.corpus.keys)
         dims = lambda ds, sizes: [{"name": d.name, "values": d.values[:n]} for d, n in zip(ds, sizes)]
         payload = {
             "format": ARCHIVE_FORMAT,
@@ -665,13 +679,8 @@ class Model:
             "target_dims": dims(self.vocab.target_dims, state.shape[0]),
             "feature_dims": dims(self.vocab.feature_dims, state.shape[1]),
             "policy": self.policy.to_lists(),
-            "corpus": list(
-                zip(
-                    state.corpus.targets[order].tolist(),
-                    state.corpus.features[order].tolist(),
-                    state.corpus.weights[order].tolist(),
-                )
-            ),
+            "corpus": list(zip(state.corpus.targets.tolist(), state.corpus.features.tolist(),
+                               state.corpus.weights.tolist())),
         }
         if self.phases:
             payload["phases"] = [
@@ -709,6 +718,7 @@ def fit(
     return Model(corpus, vocab.copy(), hyper=hyper, phases=phases, policy=policy)
 
 
+@_collector_paused
 def load(source) -> Model:
     """Read a model archive written by :meth:`Model.save`."""
     try:

@@ -169,7 +169,8 @@ def brute_metrics(predictions, truths):
 
 
 class DictCounts:
-    """Plain-dict accumulator keyed by (target, feature): the reference for SparseCounts."""
+    """Plain-dict accumulator keyed by (target, feature): the reference for SparseCounts, which
+    lists its cells in key order, ``sorted(entries)``, and contracts them in that order."""
 
     def __init__(self, cells=()):
         self.entries = {}
@@ -188,9 +189,21 @@ class DictCounts:
     def keep_feature_dims(self, keep):
         kept = sorted(set(keep))
         out = DictCounts()
-        for (tgt, feat), weight in self.entries.items():
+        for (tgt, feat), weight in sorted(self.entries.items()):
             out.add(tgt, tuple(feat[d] for d in kept), weight)
         return out
+
+
+def reference_add_rows(keys, weights, new_keys, new_weights):
+    """Cells of a store after adding rows, as ``SparseCounts.add_rows`` built them when it kept cells in
+    first-insertion order and ``Model.save`` sorted them: the stored rows, then the new ones, each nonzero
+    weight summed left to right into its cell in a dict, then the cells in key order."""
+    sums = {}
+    for key, weight in zip([*map(tuple, keys), *map(tuple, new_keys)], [*weights, *new_weights]):
+        if weight != 0:
+            sums[key] = sums.get(key, 0.0) + weight
+    cells = sorted(sums.items())
+    return [key for key, _ in cells], [weight for _, weight in cells]
 
 
 def reference_encode(records, vocab, grow, normalize):

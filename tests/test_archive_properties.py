@@ -123,3 +123,40 @@ def test_an_archive_whose_strings_say_true_and_false_loads():
     text = json.dumps(payload, separators=(",", ":")) + "\n"
     assert saved(sb.load(io.StringIO(text))) == text
     assert saved(sb.load(io.BytesIO(text.encode()))) == text
+
+
+MULTIPLICITIES = st.sampled_from([0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0])
+
+
+@st.composite
+def fractional_records(draw, n_dims, min_size):
+    """Labelled records with one to three tokens, of fractional multiplicity, in each of ``n_dims`` dimensions."""
+    def record(label, dims):
+        return sb.RawRecord(labels=[("y", label)], features=[
+            (f"x{d}", f"v{v}", m) for d, tokens in enumerate(dims) for v, m in tokens])
+
+    tokens = st.lists(st.tuples(st.integers(0, 4), MULTIPLICITIES), min_size=1, max_size=3)
+    return draw(st.lists(st.builds(record, st.sampled_from("abc"), st.tuples(*[tokens] * n_dims)),
+                         min_size=min_size, max_size=20))
+
+
+def rows_in_bits(model, queries):
+    """Every ``predict_at_dims`` row at every nonempty keep-set, each probability as its bit pattern."""
+    n = model.n_feature_dims
+    keep_sets = [{d for d in range(n) if mask >> d & 1} for mask in range(1, 1 << n)]
+    return [[None if row is None else [p.hex() for p in row] for row in model.predict_at_dims(queries, keep)]
+            for keep in keep_sets]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_a_model_predicts_as_its_reload_at_every_keep_set_bitwise(data):
+    """Contracted levels sum each cell's entries in the store's order, which its reload must share."""
+    n_dims = data.draw(st.integers(2, 3))
+    records = data.draw(fractional_records(n_dims, 2))
+    vocab = sb.Vocabulary()
+    model = sb.fit(sb.encode(records, vocab, grow=True, normalize=True), vocab)
+    queries = sb.encode(records, model.vocab, normalize=True)
+    assert rows_in_bits(sb.load(io.StringIO(saved(model))), queries) == rows_in_bits(model, queries)
+    model.update(sb.encode(data.draw(fractional_records(n_dims, 1)), model.vocab, grow=True, normalize=True))
+    assert rows_in_bits(sb.load(io.StringIO(saved(model))), queries) == rows_in_bits(model, queries)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import DictCounts
-from sparseborn.counts import SparseCounts
+from oracle import DictCounts, reference_add_rows
+from sparseborn.counts import SparseCounts, row_tuples, sort_groups
 from sparseborn.errors import ShapeError
 
 
@@ -194,7 +194,7 @@ def count_programs(draw):
 @settings(deadline=None, max_examples=150)
 @given(count_programs(), st.data())
 def test_columnar_counts_match_dict_accumulator_bitwise(program, data):
-    """Same cells, same iteration order, same bits as a dict, contractions included."""
+    """Same cells and bits as a dict, listed in key order, contractions included."""
     t_dims, f_dims, ops = program
     counts, ref = SparseCounts(t_dims, f_dims), DictCounts()
     for op in ops:
@@ -207,6 +207,75 @@ def test_columnar_counts_match_dict_accumulator_bitwise(program, data):
             ref.iadd(DictCounts(op[1]))
         else:  # folds the pending adds in mid-sequence
             assert len(counts) == len(ref.entries)
-    assert bits(counts) == bits(ref)
+    assert bits(counts) == sorted(bits(ref))
     keep = data.draw(st.sets(st.integers(0, f_dims - 1)))
-    assert bits(counts.keep_feature_dims(keep)) == bits(ref.keep_feature_dims(keep))
+    assert bits(counts.keep_feature_dims(keep)) == sorted(bits(ref.keep_feature_dims(keep)))
+
+
+def _lexsort_groups(keys):
+    """``sort_groups`` restated: ``np.lexsort``'s order (rows of width 0 are all equal) and the run starts."""
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+    rows = keys[order].tolist()
+    return order.tolist(), [i == 0 or rows[i] != rows[i - 1] for i in range(len(rows))]
+
+
+def _spy_lexsort(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys))
+    return calls
+
+
+_RNG = np.random.default_rng(24)
+_SORTED = np.unique(_RNG.integers(0, 50, size=(300, 2)), axis=0)
+
+
+@pytest.mark.parametrize("keys, by_code", [
+    (_RNG.integers(-5, 6, size=(200, 3)), True),  # negative coordinates
+    (np.concatenate([_SORTED, _RNG.integers(0, 60, size=(40, 2))]), True),  # a sorted run, then a batch
+    (_RNG.integers(0, 7, size=(60, 17)), True),  # zoo-shaped: 17 narrow columns
+    (_RNG.integers(0, 2**40, size=(200, 3)).repeat(2, axis=0), False),  # radix product >= 2**63
+    (np.array([[np.iinfo(np.int64).min, 1], [np.iinfo(np.int64).max, 0], [0, 2], [0, 2]]), False),
+    (np.empty((0, 3), dtype=np.int64), True),
+    (np.empty((5, 0), dtype=np.int64), True),
+    (np.empty((0, 0), dtype=np.int64), True),
+], ids=["negative", "run-then-batch", "zoo-shaped", "past-int64", "int64-extremes", "no-rows", "width-0", "empty"])
+def test_sort_groups_orders_rows_as_lexsort_does(monkeypatch, keys, by_code):
+    expected = _lexsort_groups(keys)
+    calls = _spy_lexsort(monkeypatch)
+    order, starts = sort_groups(keys)
+    assert (order.tolist(), starts.tolist()) == expected
+    assert calls == ([] if by_code else [keys.shape[1]])  # only codes past int64 fall back to lexsort
+
+
+# small coordinates repeat and go negative; coordinates up to 2**40 make codes past int64
+coordinates = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40))
+weights = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1 / 3, 1.0, 2.5, 1e-300])
+
+
+def key_matrix(rows, width):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_sort_groups_matches_lexsort_on_any_rows(data):
+    width = data.draw(st.integers(0, 4))
+    keys = key_matrix(data.draw(st.lists(st.tuples(*[coordinates] * width), max_size=40)), width)
+    order, starts = sort_groups(keys)
+    assert (order.tolist(), starts.tolist()) == _lexsort_groups(keys)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_add_rows_into_a_stored_run_is_bitwise_the_sorted_first_insertion_sums(data):
+    """The stored run first, then the batch: each cell's stored sum, then its new rows in arrival order."""
+    width = data.draw(st.integers(1, 4))
+    stored, batch = (data.draw(st.lists(st.tuples(st.tuples(*[coordinates] * width), weights), max_size=30))
+                     for _ in range(2))
+    counts = SparseCounts(1, width - 1).add_rows(key_matrix([k for k, _ in stored], width), [w for _, w in stored])
+    want_keys, want_weights = reference_add_rows(counts.keys.tolist(), counts.weights.tolist(),
+                                                 [k for k, _ in batch], [w for _, w in batch])
+    counts.add_rows(key_matrix([k for k, _ in batch], width), [w for _, w in batch])
+    assert row_tuples(counts.keys) == want_keys
+    assert [w.hex() for w in counts.weights.tolist()] == [w.hex() for w in want_weights]

@@ -1,4 +1,5 @@
 """Training, weighting, prediction, fallback, and persistence."""
+import gc
 import io
 import json
 import math
@@ -596,16 +597,16 @@ def test_load_rejects_non_finite_corpus_weight():
 
 
 def test_load_sums_unsorted_and_repeated_cells():
-    # cells out of order and split in two are summed in file order, as adds would be
+    # cells out of order and split in two are summed in file order, as adds would be, and kept in key order
     archive = io.StringIO()
     make_model({((0,), (0,)): 1.0, ((1,), (1,)): 2.0}, 2, [2]).save(archive)
     payload = json.loads(archive.getvalue())
     payload["corpus"] = [[[1], [1], 0.1], [[0], [0], 1.0], [[1], [1], 0.2], [[1], [0], 3.0]]
     corpus = load(io.StringIO(json.dumps(payload))).corpus
     assert list(corpus.entries.items()) == [
-        (((1,), (1,)), 0.1 + 0.2),
         (((0,), (0,)), 1.0),
         (((1,), (0,)), 3.0),
+        (((1,), (1,)), 0.1 + 0.2),
     ]
     payload["corpus"][0][1] = [0, 1]
     with pytest.raises(ArchiveError):
@@ -1055,3 +1056,26 @@ def test_normalized_queries_read_as_their_reload_reads_them():
     assert [view.predict(q).distribution for q in encode(queries, view.vocab, normalize=True)] == [
         reloaded.predict(q).distribution for q in encode(queries, reloaded.vocab, normalize=True)
     ]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_save_and_load_pause_the_collector_and_restore_it(monkeypatch, enabled):
+    model = make_model({((0,), (0,)): 1.0, ((1,), (1,)): 2.0}, 2, [2])
+    seen = []
+    dumps, loads = json.dumps, json.loads
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: seen.append(gc.isenabled()) or dumps(*a, **k))
+    monkeypatch.setattr(json, "loads", lambda *a, **k: seen.append(gc.isenabled()) or loads(*a, **k))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        archive = io.StringIO()
+        model.save(archive)
+        assert gc.isenabled() is enabled
+        load(io.StringIO(archive.getvalue()))
+        assert gc.isenabled() is enabled
+        with pytest.raises(ArchiveError):
+            load(io.StringIO(archive.getvalue().replace("sparseborn-model", "other")))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False, False]  # paused while the archive is built or parsed
