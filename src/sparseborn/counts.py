@@ -133,11 +133,17 @@ class SparseCounts:
         if len(flat) != len(cells) * width:
             raise ShapeError("cell coordinates do not match the tensor shape")
         keys = _index_matrix(np.array(flat).reshape(len(cells), width), width)
-        weights = [w for _, _, w in cells]
-        if all(0 < w < math.inf for w in weights) and all(
-            a[0] < b[0] or a[0] == b[0] and a[1] < b[1] for a, b in zip(cells, cells[1:])
-        ):
-            return cls._of(target_dims, feature_dims, keys, np.array(weights, dtype=np.float64))
+        weights = np.array([w for _, _, w in cells])
+        if weights.dtype.kind not in "biuf" or weights.ndim != 1:  # np.array(["2"], float) would read "2" as 2
+            if not all(isinstance(w, (int, float)) for _, _, w in cells):
+                raise TypeError("cell weights must be numbers")
+        weights = weights.astype(np.float64)
+        if width and (weights > 0).all() and (weights < math.inf).all():
+            # each row's first coordinate that differs from the row before must be larger
+            later, earlier = keys[1:], keys[:-1]
+            first = np.arange(len(later)), (later != earlier).argmax(1)
+            if (later[first] > earlier[first]).all():
+                return cls._of(target_dims, feature_dims, keys, weights)
         return cls(target_dims, feature_dims).add_rows(keys, weights)
 
     @classmethod

@@ -275,25 +275,35 @@ def joint_rows(
             raise SchemaError("observation shape does not match requested tensor shape")
         maps += (*obs.label_weights, *obs.feature_weights)
         scales.append(obs.scale)
-    keys, factors, cells = _expand(maps, len(scales), target_dims + feature_dims)
+    sizes, index, value = _flatten(maps, len(scales), target_dims + feature_dims)
+    keys, factors, cells = _expand(sizes, np.cumsum(sizes).reshape(sizes.shape) - sizes, index, value)
     feature_weights = reduce(np.multiply, factors[target_dims:], np.repeat(scales, cells))
     return keys, reduce(np.multiply, factors[:target_dims], 1.0) * feature_weights
 
 
-def _expand(maps: List[Dict[int, float]], n: int, width: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Key rows of the outer products of ``maps``, ``width`` per observation, cells in mixed radix order;
-    each cell's weight in every map, a row per dimension; and each observation's number of cells."""
+def _flatten(maps: List[Dict[int, float]], n: int, width: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``maps``, ``width`` per observation, as the (n, width) matrix of their sizes and one index and one
+    value array: map after map, each in its order."""
     sizes = np.fromiter(map(len, maps), np.int64, len(maps)).reshape(n, width)
-    cells = sizes.prod(axis=1)
-    index = np.fromiter(chain.from_iterable(maps), np.int64, int(sizes.sum()))
+    index = np.fromiter(chain.from_iterable(maps), np.int64, sum(map(len, maps)))
     value = np.fromiter(chain.from_iterable(map(dict.values, maps)), np.float64, len(index))
-    if (sizes == 1).all():  # one cell per observation: its maps' values are a row
-        return index.reshape(n, width), value.reshape(n, width).T, cells
+    return sizes, index, value
+
+
+def _expand(sizes: np.ndarray, firsts: np.ndarray, index: np.ndarray, value: np.ndarray):
+    """Key rows of the outer products of the maps that ``sizes`` and ``firsts`` (where each starts) pick from
+    ``index`` and ``value`` (see :func:`_flatten`; a row of maps per observation), cells in mixed radix order;
+    each cell's weight in every map, a row per map; and each observation's number of cells."""
+    cells = sizes.prod(axis=1)
+    if sizes.shape[1] == 1 and cells.sum() == len(index):  # one map each, all of the arrays: their cells in order
+        return index[:, None], value[None], cells
+    if (sizes <= 1).all():  # at most one cell per observation: its maps' values are a row
+        one = firsts if cells.all() else firsts[cells > 0]
+        return index[one], value[one].T, cells
     local, at = np.arange(cells.sum()), np.empty(cells.sum(), np.int64)
     local -= np.repeat(np.cumsum(cells) - cells, cells)  # each cell's number in its observation
-    firsts = np.cumsum(sizes).reshape(n, width) - sizes  # where each map starts in index and value
-    keys, factors = np.empty((len(local), width), np.int64), np.empty((width, len(local)))
-    for d in range(width - 1, -1, -1):  # digits last to first, in place: the peak stays near the outputs
+    keys, factors = np.empty((len(local), sizes.shape[1]), np.int64), np.empty((sizes.shape[1], len(local)))
+    for d in range(sizes.shape[1] - 1, -1, -1):  # digits last to first, in place: the peak stays near the outputs
         np.divmod(local, np.repeat(sizes[:, d], cells), out=(local, at))
         at += np.repeat(firsts[:, d], cells)
         keys[:, d] = index[at]

@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .counts import Index
+from .counts import Index, row_tuples
 from .data import EncodedObservation
 from .errors import UnknownTargetError
 from .model import Model
@@ -56,7 +56,8 @@ def _check_k(k: int | None) -> None:
 def _ranked(model: Model, target_index, feats, scores, k, angles=None, kept=None):
     """Attributions of the k candidates of highest score; shares are over all of them.
 
-    ``feats`` ascend, so the stable sort breaks score ties by feature index.
+    ``feats`` ascend, so the stable sort breaks score ties by feature index: a matrix of feature rows, of
+    which only the k returned are decoded, or a list of multi-indices.
     ``kept`` gives each candidate's level (None: the full level), ``angles`` its angle (None: 0).
     """
     values = scores.tolist()
@@ -64,6 +65,8 @@ def _ranked(model: Model, target_index, feats, scores, k, angles=None, kept=None
     order = (-scores).argsort(kind="stable")[:k]
     thetas = angles[order].tolist() if angles is not None else [0.0] * len(order)
     decoded = model.vocab.decode_target(target_index) if target_index is not None else None
+    if isinstance(feats, np.ndarray):  # decode only the k rows returned
+        feats = dict(zip(order.tolist(), map(tuple, feats[order].tolist())))
     return [
         FeatureAttribution(
             decoded, target_index, model.vocab.decode_feature(feats[j], kept[j] if kept else None),
@@ -93,8 +96,7 @@ def explain_local(
     target_index = ids[level.probabilities(rows).argmax()] if target is None else target_index
     row = ids.index(target_index) if target_index in ids else -1
     _, cols, modulus, angle, _ = level.attribution(rows, [row])
-    feats = [level.table.feat_ids[c] for c in cols.tolist()]
-    return _ranked(model, target_index, feats, modulus, k, angle, [level.kept] * len(feats))
+    return _ranked(model, target_index, level.table.feat_rows[cols], modulus, k, angle, [level.kept] * len(cols))
 
 
 def explain_global(model: Model, target, k: int | None = None) -> List[FeatureAttribution]:
@@ -103,7 +105,7 @@ def explain_global(model: Model, target, k: int | None = None) -> List[FeatureAt
     target_index = _resolve_target(model, target)
     table = model._table(frozenset(range(model.n_feature_dims)))
     scores, angles = table.target_weights(target_index)
-    return _ranked(model, target_index, table.feat_ids, scores, k, angles)
+    return _ranked(model, target_index, table.feat_rows, scores, k, angles)
 
 
 def discriminative_features(model: Model, k: int) -> List[FeatureAttribution]:
@@ -112,7 +114,7 @@ def discriminative_features(model: Model, k: int) -> List[FeatureAttribution]:
         raise ValueError("discriminative ranking is undefined with h=0 (all weights are 1)")
     _check_k(k)
     table = model._table(frozenset(range(model.n_feature_dims)))
-    return _ranked(model, None, table.feat_ids, table.entropy ** model.hyper.h, k)
+    return _ranked(model, None, table.feat_rows, table.entropy ** model.hyper.h, k)
 
 
 def aggregate_local(
@@ -124,7 +126,7 @@ def aggregate_local(
     Targets, and a feature's tied candidates from two policy levels, come in first-query order.
     """
     _check_k(k)
-    # (predicted, kept) -> (first query, feature ids, addend columns and moduli per level); a
+    # (predicted, kept) -> (first query, feature rows, addend columns and moduli per level); a
     # bucket's queries all stop at one policy step, whose sub-batches come in query order
     buckets: Dict[Tuple[Index, Tuple[int, ...]], tuple] = {}
     for _, level, rows, queries_at in model.walk(queries):
@@ -132,7 +134,7 @@ def aggregate_local(
             continue
         tops = level.probabilities(rows).argmax(1)
         rows_at, cols, modulus, _, cells = level.attribution(rows, tops)
-        target_ids, ids = level.table.target_ids, level.table.feat_ids
+        target_ids, ids = level.table.target_ids, level.table.feat_rows
         for t, first in zip(*np.unique(tops, return_index=True)):  # each target and its first query
             mine = cells[tops[rows_at[cells]] == t]
             bucket = buckets.setdefault((target_ids[t], level.kept), (queries_at[first], ids, []))
@@ -142,7 +144,7 @@ def aggregate_local(
         cols, modulus = map(np.concatenate, zip(*addends))
         cols, inverse = np.unique(cols, return_inverse=True)
         sums = np.bincount(inverse, modulus).tolist()  # adds in query order, as a running sum would
-        by_target.setdefault(t, []).extend(zip([ids[c] for c in cols.tolist()], sums, repeat(kept)))
+        by_target.setdefault(t, []).extend(zip(row_tuples(ids[cols]), sums, repeat(kept)))
     out: Dict[Tuple[str, ...], List[FeatureAttribution]] = {}
     for t, candidates in by_target.items():
         candidates.sort(key=lambda c: c[0])  # stable: a feature's candidates keep their order

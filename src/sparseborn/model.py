@@ -10,8 +10,11 @@ evaluated with the accumulation kernels.  The prediction rule is
 normalized over targets, with the policy's contraction chain applied
 whenever every X_i is zero.  :meth:`Model.walk` is the one loop over levels: it takes a batch down the
 policy, or the keep-sets given, each level summing the undecided queries with one kernel call; a single
-query is a batch of one, and :meth:`Model.predict_at_dims` a walk of one step.  A level's two readers
-serve the rest: ``probabilities`` every distribution and top target, ``attribution`` every local explanation.
+query is a batch of one, and :meth:`Model.predict_at_dims` a walk of one step.  A batch is prepared once,
+its feature maps as flat arrays; each layout column has an integer code, so a level finds every query cell's
+column with one ``np.searchsorted``, and feature tuples are decoded only for the columns an explanation
+returns.  A level's two readers serve the rest: ``probabilities`` every distribution and top target,
+``attribution`` every local explanation.
 The counts do not depend on h, b or p: models that differ only in them share one corpus, held in
 an immutable published state that :meth:`Model.update` replaces and never changes, and what is derived
 from it alone: each level's layout and the target order, its targets sorted once.  A level table adds
@@ -25,16 +28,17 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, wraps
-from itertools import chain, repeat
+from functools import cached_property, reduce, wraps
+from itertools import accumulate, chain, repeat
+from operator import mul
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
-from .counts import Index, SparseCounts, _index_matrix, row_tuples, run_starts, sort_groups
-from .data import EncodedObservation, Vocabulary, joint_rows
+from .counts import Index, SparseCounts, _index_matrix, rank_rows, row_tuples, run_starts, sort_groups
+from .data import EncodedObservation, Vocabulary, _expand, _flatten, joint_rows
 from .errors import ArchiveError, InvalidRecordError, ShapeError
 from .policy import Policy
 
@@ -61,20 +65,29 @@ def _collector_paused(func):
     return paused
 
 
-def _sub_batches(queries, pending: Iterable[int], table: "_LevelTable"):
-    """The pending queries and their features at ``table``'s level, in runs of at most
-    ``BATCH_ADDENDS // n_targets`` cells (a column has one entry per target at most), a cell
-    per feature and one per query (its row of the accumulators); a wider query goes alone."""
-    batch, feats, cells, max_cells = [], [], 0, BATCH_ADDENDS // len(table.target_ids)
-    for i in pending:
-        fmap = queries[i].features_at(table.keep)
-        if batch and cells + len(fmap) + 1 > max_cells:
-            yield batch, feats
-            batch, feats, cells = [], [], 0
-        batch.append(i)
-        feats.append(fmap)
-        cells += len(fmap) + 1
-    yield batch, feats
+def _sub_batches(queries: "_Prepared", pending: List[int], table: "_LevelTable"):
+    """The pending queries in runs of at most ``BATCH_ADDENDS // n_targets`` cells (a column has one entry
+    per target at most), a cell per feature at ``table``'s level and one per query (its row of the
+    accumulators); a wider query goes alone.  Yields each run's positions and the run, prepared."""
+    index, value, *rows = queries.flat
+    if len(pending) < len(queries):
+        at = np.array(pending)
+        rows = [None if a is None else a[at] for a in rows]
+    bounds, total, max_cells = [0], 0, BATCH_ADDENDS // len(table.target_ids)
+    if len(pending) > 1:  # one query is one run
+        cells = [1] * len(pending) if rows[0] is None else rows[0][:, table.kept].prod(1).tolist()
+        for i, n in enumerate(cells):
+            if i > bounds[-1] and total + n + 1 > max_cells:
+                bounds.append(i)
+                total = 0
+            total += n + 1
+    for lo, hi in zip(bounds, bounds[1:] + [len(pending)]):
+        if hi - lo == len(queries):  # all of them
+            yield pending, queries
+            return
+        batch = _Prepared(map(queries.__getitem__, pending[lo:hi]))
+        batch.flat = index, value, *(None if a is None else a[lo:hi] for a in rows)
+        yield pending[lo:hi], batch
 
 
 @dataclass(frozen=True)
@@ -137,10 +150,12 @@ def _target_order(counts: SparseCounts) -> Tuple[List[Index], np.ndarray, np.nda
     return row_tuples(counts.targets[order[starts]]), ranks, order, bounds
 
 
-# What a level table derives from the counts alone, per keep-set and target-space size: per cell its target
-# rank (``rows``), column and contracted weight; ``col_ptr`` delimits each column's cells, then an empty
-# column that separates batched queries; the row and column sums, and each column's 1 - H/H_max.
-_Layout = namedtuple("_Layout", "feat_ids feat_pos rows cols col_ptr weights row_sums col_sums entropy")
+# What a level table derives from the counts alone, per keep-set and target-space size: each column's kept
+# feature values (``feat_rows``, ascending), and its code in mixed radix (each kept dimension's largest value
+# plus 1, the first most significant; None past int64) by ``strides``; per cell its target rank (``rows``),
+# column and contracted weight; ``col_ptr`` delimits each column's cells, then an empty column that separates
+# batched queries; the row and column sums, and each column's 1 - H/H_max.
+_Layout = namedtuple("_Layout", "feat_rows strides codes rows cols col_ptr weights row_sums col_sums entropy")
 
 
 def _balanced(layout: _Layout, b: float) -> np.ndarray:
@@ -168,19 +183,21 @@ def _derive_weights(counts: SparseCounts, keep: FrozenSet[int], n_targets: int) 
         weights = np.bincount(np.cumsum(new_cell) - 1, weights)
         feats, rows, new_col = feats[new_cell], rows[new_cell], new_col[new_cell]
     col_ptr = np.append(np.flatnonzero(new_col), (len(feats), len(feats)))
-    feat_ids, cols = row_tuples(feats[new_col]), np.cumsum(new_col) - 1
+    feat_rows, cols = feats[new_col], np.cumsum(new_col) - 1
+    *strides, size = accumulate((feat_rows.max(0) + 1).tolist()[::-1], mul, initial=1)
+    strides = np.array(strides[::-1], dtype=np.int64)
     row_sums = np.bincount(rows, weights)
-    col_sums = np.bincount(cols, weights, len(feat_ids))
+    col_sums = np.bincount(cols, weights, len(feat_rows))
     if n_targets <= 1:
-        entropy = np.ones(len(feat_ids))
+        entropy = np.ones(len(feat_rows))
     else:
         balanced = weights / row_sums[rows]
-        conditional = balanced / np.bincount(cols, balanced, len(feat_ids))[cols]
-        h_sum = np.bincount(cols, conditional * np.log(conditional), len(feat_ids))
+        conditional = balanced / np.bincount(cols, balanced, len(feat_rows))[cols]
+        h_sum = np.bincount(cols, conditional * np.log(conditional), len(feat_rows))
         entropy = 1.0 + h_sum / math.log(n_targets)
         np.clip(entropy, 0.0, 1.0, out=entropy)
-    feat_pos = dict(zip(feat_ids, range(len(feat_ids))))
-    return _Layout(feat_ids, feat_pos, rows, cols, col_ptr, weights, row_sums, col_sums, entropy)
+    codes = feat_rows @ strides if size < 1 << 63 else None
+    return _Layout(feat_rows, strides, codes, rows, cols, col_ptr, weights, row_sums, col_sums, entropy)
 
 
 def entropy_weights(corpus: SparseCounts, n_targets: int | None = None) -> Dict[Index, float]:
@@ -194,7 +211,7 @@ def entropy_weights(corpus: SparseCounts, n_targets: int | None = None) -> Dict[
     if not (isinstance(n_targets, (int, np.integer)) and n_targets >= observed):
         raise ValueError(f"n_targets must be an integer >= the {observed} observed targets")
     layout = corpus._derived(_derive_weights, frozenset(range(corpus.feature_dims)), n_targets)
-    return dict(zip(layout.feat_ids, layout.entropy.tolist()))
+    return dict(zip(row_tuples(layout.feat_rows), layout.entropy.tolist()))
 
 
 def weight_tensor(corpus: SparseCounts, b: float) -> Dict[Tuple[Index, Index], float]:
@@ -209,29 +226,38 @@ def weight_tensor(corpus: SparseCounts, b: float) -> Dict[Tuple[Index, Index], f
         return {}
     target_ids = corpus._derived(_target_order)[0]
     layout = corpus._derived(_derive_weights, frozenset(range(corpus.feature_dims)), len(target_ids))
+    feat_ids = row_tuples(layout.feat_rows)
     return {
-        (target_ids[r], layout.feat_ids[c]): w
+        (target_ids[r], feat_ids[c]): w
         for r, c, w in zip(layout.rows.tolist(), layout.cols.tolist(), _balanced(layout, b).tolist())
     }
 
 
 @dataclass(eq=False, slots=True)
 class _LevelTable:
-    """Column-grouped derived weights for one contraction level."""
+    """Column-grouped derived weights for one contraction level; see :data:`_Layout`."""
 
     keep: FrozenSet[int]
+    kept: np.ndarray  # the kept dimensions, ascending
+    weigh: np.ndarray  # a query's factors in weighting order: its scale, dropped then kept maps (see _flat)
     target_ids: List[Index]
-    feat_ids: List[Index]
-    feat_pos: Dict[Index, int]
+    feat_rows: np.ndarray
+    strides: np.ndarray
+    codes: np.ndarray | None
     col_ptr: np.ndarray
     rows: np.ndarray
     amp: np.ndarray
     phi: np.ndarray | None
     entropy: np.ndarray
 
+    @property
+    def feat_ids(self) -> List[Index]:
+        """Every column's feature multi-index, decoded on each read; no prediction reads it."""
+        return row_tuples(self.feat_rows)
+
     def target_weights(self, target: Index) -> Tuple[np.ndarray, np.ndarray]:
         """Each column's amplitude and phase for ``target``; 0 and 0 where it has no entry."""
-        amp, phi = np.zeros(len(self.feat_ids)), np.zeros(len(self.feat_ids))
+        amp, phi = np.zeros(len(self.feat_rows)), np.zeros(len(self.feat_rows))
         if target in self.target_ids:
             entries = np.flatnonzero(self.rows == self.target_ids.index(target))
             cols = np.searchsorted(self.col_ptr, entries, side="right") - 1
@@ -268,9 +294,26 @@ class _State:
 
 
 class _Prepared(list):
-    """Queries as :meth:`Model._prepare` prepared them for the published ``state``."""
+    """Queries as :meth:`Model._prepare` prepared them for the published ``state``, and their maps once, flat:
+    index and value as :func:`data._flatten` lays them out, a row per query of its maps' sizes and starts, and
+    of its scale and each map's total (1 where empty).  Where every map holds one value, only the totals and a
+    row of indices (``singles``), lists for one query: a numpy call would cost more than its work."""
 
-    __slots__ = ("state",)
+    __slots__ = ("state", "flat")
+
+
+def _flat(queries: Sequence[EncodedObservation], width: int) -> tuple:
+    """The flat form of :class:`_Prepared`; each total is ``sum(map.values())``, as ``features_at`` takes it."""
+    maps, n = [m for obs in queries for m in obs.feature_weights], len(queries)
+    factors = [[obs.scale, *(sum(m.values()) if m else 1.0 for m in obs.feature_weights)] for obs in queries]
+    if {*map(len, maps)} == {1}:  # a value per map: its total
+        singles = [i for m in maps for i in m]
+        if n > 1:
+            factors, singles = np.array(factors), np.array(singles, np.int64).reshape(n, width)
+        return None, None, None, None, factors, singles
+    sizes, index, value = _flatten(maps, n, width)
+    firsts = np.cumsum(sizes).reshape(sizes.shape) - sizes
+    return index, value, sizes, firsts, np.array(factors).reshape(n, width + 1), None
 
 
 @dataclass(eq=False)
@@ -314,7 +357,7 @@ class _Level:
         if len(self.totals) > 1:  # a cell's query is the number of separators before it
             at = np.full(len(self.totals) + 1, len(rows))
             at[rows] = np.arange(len(rows))
-            is_sep = self.qcols == len(self.table.feat_ids)
+            is_sep = self.qcols == len(self.table.feat_rows)
             rows_at = at[np.where(is_sep, len(self.totals), is_sep.cumsum())]
             wanted = np.append(targets, -1)[rows_at[cell]]
         hit = (self.table.rows[self.entry] == wanted).nonzero()[0]  # a column has one entry per row
@@ -327,13 +370,10 @@ class _Level:
 
     def contributions(self) -> Dict[Tuple[Index, Index], Tuple[float, float]]:
         """(target, feature) -> (modulus, angle) of every addend of a one-query level."""
-        rows, cols = self.table.rows[self.entry], self.qcols.repeat(self.lengths)
+        rows, feats = self.table.rows[self.entry], row_tuples(self.table.feat_rows[self.qcols.repeat(self.lengths)])
         angles = self.angle.tolist() if self.angle is not None else repeat(0.0)
-        target_ids, feat_ids = self.table.target_ids, self.table.feat_ids
-        return {
-            (target_ids[r], feat_ids[c]): (m, a)
-            for r, c, m, a in zip(rows.tolist(), cols.tolist(), self.modulus.tolist(), angles)
-        }
+        target_ids = self.table.target_ids
+        return {(target_ids[r], f): (m, a) for r, f, m, a in zip(rows.tolist(), feats, self.modulus.tolist(), angles)}
 
 
 @dataclass
@@ -452,13 +492,20 @@ class Model:
         for obs in queries:
             if obs.n_feature_dims != len(sizes):
                 raise ShapeError(f"query has {obs.n_feature_dims} feature dimensions, model has {len(sizes)}")
-            for d, (size, dim_map) in enumerate(zip(sizes, obs.feature_weights)):
-                for idx in dim_map:
-                    if not 0 <= idx < size:
-                        raise ShapeError(f"feature index {idx} out of bounds for dimension "
-                                         f"{self.vocab.feature_dims[d].name!r} (size {size})")
+        flat = _flat(queries, len(sizes))
+        index, counts = (flat[-1], None) if flat[0] is None else (flat[0], flat[2].ravel())
+        if isinstance(index, list):  # one query of one-value maps, in Python
+            at = next((at for at, (i, size) in enumerate(zip(index, sizes)) if not 0 <= i < size), None)
+        else:  # one comparison: a negative index reads as unsigned, past every size
+            limits = np.array(sizes * len(queries), np.uint64)
+            bad = np.ravel(index).view(np.uint64) >= (limits if counts is None else limits.repeat(counts))
+            at = int(bad.argmax()) if bad.any() else None
+        if at is not None:  # the first in query order
+            d = (at if counts is None else int(np.searchsorted(counts.cumsum(), at, side="right"))) % len(sizes)
+            raise ShapeError(f"feature index {np.ravel(index)[at]} out of bounds for dimension "
+                             f"{self.vocab.feature_dims[d].name!r} (size {sizes[d]})")
         prepared = _Prepared(queries if shape == state.shape else [obs.known(state.shape) for obs in queries])
-        prepared.state = state
+        prepared.state, prepared.flat = state, flat if shape == state.shape else _flat(prepared, len(state.shape[1]))
         return prepared
 
     def target_prior(self) -> Dict[Index, float]:
@@ -480,58 +527,84 @@ class Model:
         amp = layout.entropy[layout.cols] ** self.hyper.h * _balanced(layout, self.hyper.b) ** self.hyper.p
         phi = None
         if self.phases and len(keep) == self.n_feature_dims:
+            feat_ids = row_tuples(layout.feat_rows)
             phi = np.array(
                 [
-                    self.phases.get(target_ids[r], layout.feat_ids[c])
+                    self.phases.get(target_ids[r], feat_ids[c])
                     for r, c in zip(layout.rows.tolist(), layout.cols.tolist())
                 ],
                 dtype=np.float64,
             )
             if not phi.any():
                 phi = None
-        grouping = layout.feat_ids, layout.feat_pos, layout.col_ptr, layout.rows
-        return _LevelTable(keep, target_ids, *grouping, amp, phi, layout.entropy)
+        kept = sorted(keep)
+        weigh = np.array([0, *(d + 1 for d in range(self.n_feature_dims) if d not in keep), *(d + 1 for d in kept)])
+        grouping = layout.feat_rows, layout.strides, layout.codes, layout.col_ptr, layout.rows
+        return _LevelTable(keep, np.array(kept, dtype=np.intp), weigh, target_ids, *grouping, amp, phi, layout.entropy)
 
     # -- prediction ----------------------------------------------------
 
-    def _query_arrays(self, queries, feats: List[Dict[Index, float]], table: _LevelTable):
-        """``qcols``, ``qvals`` and ``qtheta`` of a batch at one level (see :mod:`._kernels`)
-        from each query's features there, unknown ones dropped.  ``qtheta`` is
-        None when every phase is zero, the result None when no query knows a feature.
+    def _query_arrays(self, queries: _Prepared, table: _LevelTable):
+        """``qcols``, ``qvals`` and ``qtheta`` of a batch at one level (see :mod:`._kernels`), unknown features
+        dropped.  Each cell of the kept maps is weighted as :meth:`EncodedObservation.features_at` weights it:
+        the scale, times the dropped maps' totals in dimension order, times its kept values left to right.
+        One ``np.searchsorted`` finds its column; a cell whose row is no column's (a value past its dimension's
+        radix codes as another column, or as none) is unknown.  ``qtheta`` is None when every phase is zero,
+        the result None when no query knows a feature.
         """
-        sep, pos = len(table.feat_ids), table.feat_pos
-        cols: List[int] = []
-        vals: List[float] = []
-        for fmap in feats:
-            cols += map(pos.get, fmap, repeat(-1))
-            cols.append(sep)
-            vals += fmap.values()
-            vals.append(0.0)
-        del cols[-1], vals[-1]
-        if cols.count(-1) + len(feats) - 1 == len(cols):
+        index, value, sizes, firsts, factors, singles = queries.flat
+        if isinstance(singles, list):  # one query of one-value maps: its one cell in scalars
+            row = [singles[d] for d in sorted(table.keep)]
+            if table.codes is not None:
+                at = int(table.codes.searchsorted(sum(map(mul, row, table.strides.tolist()))))
+                if at == len(table.feat_rows) or table.feat_rows[at].tolist() != row:
+                    return None
+                theta = len(row) == self.n_feature_dims and (queries[0].phases or {}).get(tuple(row), 0.0)
+                weight = reduce(mul, map(factors[0].__getitem__, table.weigh.tolist()))
+                return np.array([at]), np.array([weight]), np.array([theta]) if theta else None
+            factors, singles = np.array(factors), np.array([singles], np.int64)
+        n, width, kept, sep = len(factors), factors.shape[1] - 1, table.kept, len(table.feat_rows)
+        if singles is None:
+            picked = (sizes, firsts) if len(kept) == width else (sizes[:, kept], firsts[:, kept])
+            keys, kept_values, cells = _expand(*picked, index, value)
+        else:  # a cell per query
+            keys, cells = singles if len(kept) == width else singles[:, kept], None
+        if table.codes is None:  # codes past int64: rank the columns' and the cells' rows together
+            ranks = rank_rows(np.concatenate((table.feat_rows, keys)))[1]
+            codes, code = ranks[:sep], ranks[sep:]
+        else:
+            codes, code = table.codes, keys @ table.strides
+        pos = codes.searchsorted(code)
+        cell = (table.feat_rows.take(pos, 0, mode="clip") == keys).all(1).nonzero()[0]
+        if not len(cell):
             return None
-        qcols, qvals = np.array(cols), np.array(vals)
+        if cells is None:  # a one-value map's total is its value
+            weights = np.multiply.reduce(factors if len(kept) == width else factors[:, table.weigh], 1)
+        else:
+            weights = np.multiply.reduce(factors[:, table.weigh[: width + 1 - len(kept)]], 1).repeat(cells)
+            for kept_value in kept_values:
+                weights *= kept_value
+        query = np.arange(n) if cells is None else np.arange(n).repeat(cells)
+        if cells is not None and cells.max() > 1:  # each query's columns ascending
+            cell = cell[(pos[cell] if n == 1 else query[cell] * (sep + 1) + pos[cell]).argsort()]
         qtheta = None
-        if len(table.keep) == self.n_feature_dims and any(obs.phases for obs in queries):
-            qtheta = np.array([
-                theta for obs, fmap in zip(queries, feats)
-                for theta in (*map((obs.phases or {}).get, fmap, repeat(0.0)), 0.0)
-            ][:-1])
-        if -1 in cols:
-            known = qcols >= 0
-            qcols, qvals = qcols[known], qvals[known]
-            qtheta = qtheta[known] if qtheta is not None else None
-        if max(map(len, feats)) > 1:  # sort each query's columns, its separator last
-            is_sep = qcols == sep
-            order = ((is_sep.cumsum() - is_sep) * (sep + 1) + qcols).argsort()
-            qcols, qvals = qcols[order], qvals[order]
-            qtheta = qtheta[order] if qtheta is not None else None
+        if len(kept) == self.n_feature_dims and any(obs.phases for obs in queries):
+            lookups = [(obs.phases or {}).get for obs in queries]
+            qtheta = np.array([lookups[q](f, 0.0) for q, f in zip(query.tolist(), row_tuples(keys))], dtype=np.float64)
+        every = cells is None and len(cell) == n  # each query's one cell, in order
+        out = [values if values is None or every else values[cell] for values in (pos, weights, qtheta)]
+        if n > 1:  # each query's cells, then its separator
+            slots = query[cell] + np.arange(len(cell))
+            for i, fill in enumerate((sep, 0.0, 0.0)):
+                if out[i] is not None:
+                    out[i], out[i][slots] = np.full(len(cell) + n - 1, fill, out[i].dtype), out[i]
+        qcols, qvals, qtheta = out
         return qcols, qvals, qtheta if qtheta is not None and qtheta.any() else None
 
-    def _level(self, queries, feats: List[Dict[Index, float]], table: _LevelTable):
-        """The prediction rule for a batch of queries at one contraction level, from
-        their features there: a :class:`_Level`, or None when no query knows a feature."""
-        arrays = self._query_arrays(queries, feats, table)
+    def _level(self, queries: _Prepared, table: _LevelTable):
+        """The prediction rule for a batch of prepared queries at one contraction level:
+        a :class:`_Level`, or None when no query knows a feature."""
+        arrays = self._query_arrays(queries, table)
         if arrays is None:
             return None
         qcols, qvals, qtheta = arrays
@@ -583,8 +656,8 @@ class Model:
                 return
             table = self._table(keep, state)
             degenerate: List[int] = []
-            for batch, feats in _sub_batches(queries, pending, table):
-                level = self._level([queries[i] for i in batch], feats, table)
+            for batch, prepared in _sub_batches(queries, pending, table):
+                level = self._level(prepared, table)
                 totals = level.totals.tolist() if level is not None else [0.0] * len(batch)
                 rows = [r for r, total in enumerate(totals) if not total < DEGENERATE_EPS]
                 if rows:
@@ -742,14 +815,16 @@ def load(source) -> Model:
             (payload["target_dims"], vocab.target_dims, vocab.target_dim),
             (payload["feature_dims"], vocab.feature_dims, vocab.feature_dim),
         ):
-            for spec in specs:
-                dim = dims[add_dim(spec["name"], create=True)]
-                for value in spec["values"]:
-                    dim.encode(value, grow=True)
-                archived.append(spec["values"])
-        # a repeated name or value leaves fewer dimensions or values than archived
+            for spec in specs:  # each dimension in one step
+                dim, values = dims[add_dim(spec["name"], create=True)], spec["values"]
+                dim.values, dim._index = list(values), dict(zip(values, range(len(values))))
+                if {*map(type, dim.values)} - {str}:
+                    raise InvalidRecordError(f"names and values must be strings, got "
+                                             f"{next(v for v in dim.values if not isinstance(v, str))!r}")
+                archived.append(values)
+        # a repeated name leaves fewer dimensions than archived, a repeated value a shorter index
         dims = vocab.target_dims + vocab.feature_dims
-        if [d.values for d in dims] != archived:
+        if [d.values for d in dims] != archived or any(len(d._index) < len(d.values) for d in dims):
             raise ValueError("dimension names and values must be distinct")
         hyper = Hyperparams(**payload["hyper"])
         # JSON true and false read as 1 and 0: where the text holds either word, no number may be one

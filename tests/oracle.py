@@ -273,3 +273,26 @@ def _reference_cells(maps, factor):
     for dim_map in maps:
         cells = [(index + (i,), w * wi) for index, w in cells for i, wi in dim_map.items()]
     return cells
+
+
+def reference_query_arrays(queries, keep, feat_ids, n_feature_dims):
+    """``qcols``, ``qvals`` and ``qtheta`` of a batch at one level, as ``Model._query_arrays`` built them from
+    lists: each query's ``features_at(keep)`` looked up in a dict of the level's ``feat_ids`` (unknown features
+    dropped), its columns ascending, then the separator ``len(feat_ids)`` before the next query; phases only
+    at the full level.  None when no query knows a feature, ``qtheta`` None when every phase is zero."""
+    pos = {feat: col for col, feat in enumerate(feat_ids)}
+    cols, vals, thetas = [], [], []
+    for n, obs in enumerate(queries):
+        if n:
+            cols.append(len(feat_ids))
+            vals.append(0.0)
+            thetas.append(0.0)
+        cells = [(pos[f], w, (obs.phases or {}).get(f, 0.0)) for f, w in obs.features_at(keep).items() if f in pos]
+        for col, w, theta in sorted(cells, key=lambda cell: cell[0]):
+            cols.append(col)
+            vals.append(w)
+            thetas.append(theta)
+    if len(cols) == len(queries) - 1:
+        return None
+    phased = len(keep) == n_feature_dims and any(obs.phases for obs in queries) and any(thetas)
+    return cols, vals, thetas if phased else None

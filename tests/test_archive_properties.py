@@ -160,3 +160,33 @@ def test_a_model_predicts_as_its_reload_at_every_keep_set_bitwise(data):
     assert rows_in_bits(sb.load(io.StringIO(saved(model))), queries) == rows_in_bits(model, queries)
     model.update(sb.encode(data.draw(fractional_records(n_dims, 1)), model.vocab, grow=True, normalize=True))
     assert rows_in_bits(sb.load(io.StringIO(saved(model))), queries) == rows_in_bits(model, queries)
+
+
+@pytest.mark.parametrize("cells", ["one", "every"])
+@pytest.mark.parametrize("weight", ["2", None, [2.0], {"w": 2.0}], ids=["string", "null", "list", "object"])
+def test_a_cell_weight_that_is_not_a_number_is_rejected(weight, cells):
+    """Neither ``float("2")`` nor ``np.array(["2"], float)`` may read a string weight as a number."""
+    payload = json.loads(ARCHIVE)
+    for cell in payload["corpus"][-1:] if cells == "one" else payload["corpus"]:
+        cell[2] = weight
+    with pytest.raises(ArchiveError):
+        sb.load(io.StringIO(json.dumps(payload)))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda dims: dims[0]["values"].append(5), "must be strings, got 5"),
+        (lambda dims: dims[0]["values"].append(None), "must be strings, got None"),
+        (lambda dims: dims[1].update(name=7), "must be strings, got 7"),
+        (lambda dims: dims[0]["values"].append(dims[0]["values"][0]), "distinct"),
+        (lambda dims: dims[1].update(name=dims[0]["name"]), "distinct"),
+        (lambda dims: dims[0].update(values="".join(dims[0]["values"])), "distinct"),
+    ],
+    ids=["int value", "null value", "int name", "repeated value", "repeated name", "string of values"],
+)
+def test_archived_names_and_values_are_distinct_strings(edit, message):
+    payload = json.loads(ARCHIVE)
+    edit(payload["feature_dims"])
+    with pytest.raises(ArchiveError, match=message):
+        sb.load(io.StringIO(json.dumps(payload)))

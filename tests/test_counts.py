@@ -279,3 +279,8 @@ def test_add_rows_into_a_stored_run_is_bitwise_the_sorted_first_insertion_sums(d
     counts.add_rows(key_matrix([k for k, _ in batch], width), [w for _, w in batch])
     assert row_tuples(counts.keys) == want_keys
     assert [w.hex() for w in counts.weights.tolist()] == [w.hex() for w in want_weights]
+
+
+def test_cells_without_coordinates_are_summed_as_add_rows_sums_them():
+    assert SparseCounts.from_cells(0, 0, [[[], [], 1.0]]).weights.tolist() == [1.0]
+    assert SparseCounts.from_cells(0, 0, [[[], [], 1.0], [[], [], 2.0]]).weights.tolist() == [3.0]

@@ -68,7 +68,7 @@ def _read(model, records):
 
 
 def _fresh(model, **settings):
-    """A model over a copy of ``model``'s counts made from new arrays, cells in arrival order."""
+    """A model over a copy of ``model``'s counts made from new arrays, cells in key order."""
     corpus = model.corpus
     cells = [[list(t), list(f), w] for (t, f), w in corpus.entries.items()]
     counts = SparseCounts.from_cells(corpus.target_dims, corpus.feature_dims, cells)
@@ -83,8 +83,8 @@ def _bits(array):
 def _assert_same_tables(model, other):
     for keep in _keeps(model):
         a, b = model._table(keep), other._table(keep)
-        assert a.target_ids == b.target_ids and a.feat_ids == b.feat_ids and a.feat_pos == b.feat_pos
-        for name in ("col_ptr", "rows", "amp", "phi", "entropy"):
+        assert a.target_ids == b.target_ids
+        for name in ("feat_rows", "strides", "codes", "col_ptr", "rows", "amp", "phi", "entropy"):
             assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
 
 
