@@ -17,9 +17,9 @@ returns.  A level's two readers serve the rest: ``probabilities`` every distribu
 ``attribution`` every local explanation.
 The counts do not depend on h, b or p: models that differ only in them share one corpus, held in
 an immutable published state that :meth:`Model.update` replaces and never changes, and what is derived
-from it alone: each level's layout and the target order, its targets sorted once.  A level table adds
-what h, b, p and the phases decide; its rows are ranks in the target order, each distribution is a row
-over it, and a public call that returns one as a dict builds a new dict.
+from it alone: the target order, which the key order groups, and each level's layout.  An immutable level
+table is that layout plus what h, b, p and the phases decide; its rows are ranks in the target order, each
+distribution is a row over it, and a public call that returns one as a dict builds a new dict.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence,
 import numpy as np
 
 from . import _kernels
-from .counts import Index, SparseCounts, _index_matrix, rank_rows, row_tuples, run_starts, sort_groups
+from .counts import Index, SparseCounts, _index_matrix, rank_rows, row_tuples, run_starts
 from .data import EncodedObservation, Vocabulary, _expand, _flatten, joint_rows
 from .errors import ArchiveError, InvalidRecordError, ShapeError
 from .policy import Policy
@@ -139,23 +139,25 @@ class PhaseTable:
         return isinstance(other, PhaseTable) and self.entries == other.entries
 
 
-def _target_order(counts: SparseCounts) -> Tuple[List[Index], np.ndarray, np.ndarray, List[int]]:
-    """One stable sort of the targets: the targets in lexicographic order (every level table's
-    ``target_ids``, as contraction keeps every target), each entry's rank among them, and the entries
-    by target with each target's bounds."""
-    order, starts = sort_groups(counts.targets)
-    ranks = np.empty(len(order), dtype=np.int32)  # a level table's rows
-    ranks[order] = np.cumsum(starts) - 1
-    bounds = np.flatnonzero(starts).tolist() + [len(order)]
-    return row_tuples(counts.targets[order[starts]]), ranks, order, bounds
+def _target_order(counts: SparseCounts) -> Tuple[List[Index], np.ndarray, List[int]]:
+    """The targets in lexicographic order (every level table's ``target_ids``, as contraction keeps every
+    target), each entry's rank among them, and each target's bounds.  Rows are in key order, target
+    coordinates first, so every target's entries are one run: the order is read off the keys, not sorted."""
+    starts = run_starts(counts.targets)
+    bounds = np.flatnonzero(starts)
+    ranks = np.cumsum(starts, dtype=np.int32) - 1  # a level table's rows
+    return row_tuples(counts.targets[bounds]), ranks, bounds.tolist() + [len(starts)]
 
 
-# What a level table derives from the counts alone, per keep-set and target-space size: each column's kept
-# feature values (``feat_rows``, ascending), and its code in mixed radix (each kept dimension's largest value
-# plus 1, the first most significant; None past int64) by ``strides``; per cell its target rank (``rows``),
-# column and contracted weight; ``col_ptr`` delimits each column's cells, then an empty column that separates
-# batched queries; the row and column sums, and each column's 1 - H/H_max.
-_Layout = namedtuple("_Layout", "feat_rows strides codes rows cols col_ptr weights row_sums col_sums entropy")
+# What a level derives from the counts alone, per keep-set and target-space size: the keep-set, its dimensions
+# ascending (``kept``), and a query's factors in weighting order, its scale, dropped then kept maps (``weigh``,
+# see _flat); the target order's ``target_ids``; each column's kept feature values (``feat_rows``, ascending),
+# and its code in mixed radix (each kept dimension's largest value plus 1, the first most significant; None past
+# int64) by ``strides``; per cell its target rank (``rows``), column and contracted weight; ``col_ptr`` delimits
+# each column's cells, then an empty column that separates batched queries; the row and column sums, and each
+# column's 1 - H/H_max.
+_Layout = namedtuple("_Layout", "keep kept weigh target_ids feat_rows strides codes rows cols col_ptr weights "
+                                "row_sums col_sums entropy")
 
 
 def _balanced(layout: _Layout, b: float) -> np.ndarray:
@@ -172,8 +174,10 @@ def _derive_weights(counts: SparseCounts, keep: FrozenSet[int], n_targets: int) 
     makes every feature perfect signal)."""
     if not len(counts):
         raise InvalidRecordError("cannot derive weights from an empty corpus")
-    ranks = counts._derived(_target_order)[1]
-    feats = counts.features[:, sorted(keep)]
+    target_ids, ranks, _ = counts._derived(_target_order)
+    kept = sorted(keep)
+    weigh = np.array([0, *(d + 1 for d in range(counts.feature_dims) if d not in keep), *(d + 1 for d in kept)])
+    feats = counts.features[:, kept]
     order = np.lexsort((ranks, *feats.T[::-1]))
     feats, rows, weights = feats[order], ranks[order], counts.weights[order]
     new_col = run_starts(feats)
@@ -197,7 +201,8 @@ def _derive_weights(counts: SparseCounts, keep: FrozenSet[int], n_targets: int) 
         entropy = 1.0 + h_sum / math.log(n_targets)
         np.clip(entropy, 0.0, 1.0, out=entropy)
     codes = feat_rows @ strides if size < 1 << 63 else None
-    return _Layout(feat_rows, strides, codes, rows, cols, col_ptr, weights, row_sums, col_sums, entropy)
+    return _Layout(keep, np.array(kept, dtype=np.intp), weigh, target_ids, feat_rows, strides, codes, rows, cols,
+                   col_ptr, weights, row_sums, col_sums, entropy)
 
 
 def entropy_weights(corpus: SparseCounts, n_targets: int | None = None) -> Dict[Index, float]:
@@ -233,34 +238,18 @@ def weight_tensor(corpus: SparseCounts, b: float) -> Dict[Tuple[Index, Index], f
     }
 
 
-@dataclass(eq=False, slots=True)
-class _LevelTable:
-    """Column-grouped derived weights for one contraction level; see :data:`_Layout`."""
+class _LevelTable(namedtuple("_LevelTable", _Layout._fields + ("amp", "phi"))):
+    """One contraction level of a model, immutable: the counts' :data:`_Layout` plus each cell's amplitude
+    and phase (None where every phase is zero), which h, b, p and the phases decide."""
 
-    keep: FrozenSet[int]
-    kept: np.ndarray  # the kept dimensions, ascending
-    weigh: np.ndarray  # a query's factors in weighting order: its scale, dropped then kept maps (see _flat)
-    target_ids: List[Index]
-    feat_rows: np.ndarray
-    strides: np.ndarray
-    codes: np.ndarray | None
-    col_ptr: np.ndarray
-    rows: np.ndarray
-    amp: np.ndarray
-    phi: np.ndarray | None
-    entropy: np.ndarray
-
-    @property
-    def feat_ids(self) -> List[Index]:
-        """Every column's feature multi-index, decoded on each read; no prediction reads it."""
-        return row_tuples(self.feat_rows)
+    __slots__ = ()
 
     def target_weights(self, target: Index) -> Tuple[np.ndarray, np.ndarray]:
         """Each column's amplitude and phase for ``target``; 0 and 0 where it has no entry."""
         amp, phi = np.zeros(len(self.feat_rows)), np.zeros(len(self.feat_rows))
         if target in self.target_ids:
             entries = np.flatnonzero(self.rows == self.target_ids.index(target))
-            cols = np.searchsorted(self.col_ptr, entries, side="right") - 1
+            cols = self.cols[entries]
             amp[cols] = self.amp[entries]
             if self.phi is not None:
                 phi[cols] = self.phi[entries]
@@ -269,22 +258,23 @@ class _LevelTable:
 
 class _State:
     """A published copy of a model's counts, and what is derived from them on first read.  ``shape`` is the
-    vocabulary's when published; no attribute is ever reassigned.  ``target_order`` and the level layouts are
-    the counts' own, shared by every model over them, and ``tables`` this model's.  ``marginal`` is the
-    targets and the row of their groups' summed weights; ``prior`` normalizes it."""
+    vocabulary's when published; no attribute is ever reassigned.  ``target_order``, read off the key order,
+    and the level layouts are the counts' own, shared by every model over them, and ``tables`` this model's,
+    each a layout plus its amplitudes and phases.  ``marginal`` is the targets and the row of their runs'
+    summed weights; ``prior`` normalizes it."""
 
     def __init__(self, corpus: SparseCounts, shape: Tuple[Tuple[int, ...], Tuple[int, ...]]):
         self.corpus, self.shape = corpus.copy(), shape
         self.tables: Dict[FrozenSet[int], _LevelTable] = {}
 
     @property
-    def target_order(self) -> Tuple[List[Index], np.ndarray, np.ndarray, List[int]]:
+    def target_order(self) -> Tuple[List[Index], np.ndarray, List[int]]:
         return self.corpus._derived(_target_order)
 
     @cached_property
     def marginal(self) -> Tuple[List[Index], List[float]]:
-        targets, _, order, bounds = self.target_order
-        weights = self.corpus.weights[order].tolist()
+        targets, _, bounds = self.target_order
+        weights = self.corpus.weights.tolist()
         return targets, [math.fsum(weights[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     @cached_property
@@ -522,7 +512,6 @@ class Model:
         return table
 
     def _build_table(self, keep: FrozenSet[int], state: _State) -> _LevelTable:
-        target_ids = state.target_order[0]
         layout = state.corpus._derived(_derive_weights, keep, math.prod(state.shape[0]))
         amp = layout.entropy[layout.cols] ** self.hyper.h * _balanced(layout, self.hyper.b) ** self.hyper.p
         phi = None
@@ -530,17 +519,14 @@ class Model:
             feat_ids = row_tuples(layout.feat_rows)
             phi = np.array(
                 [
-                    self.phases.get(target_ids[r], feat_ids[c])
+                    self.phases.get(layout.target_ids[r], feat_ids[c])
                     for r, c in zip(layout.rows.tolist(), layout.cols.tolist())
                 ],
                 dtype=np.float64,
             )
             if not phi.any():
                 phi = None
-        kept = sorted(keep)
-        weigh = np.array([0, *(d + 1 for d in range(self.n_feature_dims) if d not in keep), *(d + 1 for d in kept)])
-        grouping = layout.feat_rows, layout.strides, layout.codes, layout.col_ptr, layout.rows
-        return _LevelTable(keep, np.array(kept, dtype=np.intp), weigh, target_ids, *grouping, amp, phi, layout.entropy)
+        return _LevelTable(*layout, amp, phi)
 
     # -- prediction ----------------------------------------------------
 

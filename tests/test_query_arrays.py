@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from helpers import make_model
 from oracle import reference_query_arrays
 from sparseborn import model as model_module
+from sparseborn.counts import row_tuples
 from sparseborn.data import EncodedObservation, RawRecord, Vocabulary, encode, load_tabular
 from sparseborn.errors import ShapeError
 from sparseborn.explain import aggregate_local, discriminative_features, explain_global, explain_local
@@ -94,13 +95,13 @@ def test_query_arrays_are_the_list_reference_bitwise(seed, n_dims, normalize, ph
                     if cells:
                         assert cells + sizes[0] > max_cells
                     cells = sum(sizes)
-                    want = reference_query_arrays(list(sub), keep, table.feat_ids, model.n_feature_dims)
+                    want = reference_query_arrays(list(sub), keep, row_tuples(table.feat_rows), model.n_feature_dims)
                     got = model._query_arrays(sub, table)
                     assert _bits(got) == _bits(want)
                     if got is not None:
                         assert got[0].dtype == np.int64 and got[1].dtype == np.float64
                 for obs in prepared[:12]:  # a query alone
-                    want = reference_query_arrays([obs], keep, table.feat_ids, model.n_feature_dims)
+                    want = reference_query_arrays([obs], keep, row_tuples(table.feat_rows), model.n_feature_dims)
                     assert _bits(model._query_arrays(model._prepare([obs], state), table)) == _bits(want)
 
 
@@ -124,10 +125,10 @@ def test_codes_past_int64_rank_the_rows_instead():
             ]
             prepared = model._prepare(queries, model._state)
             [(_, batch)] = model_module._sub_batches(prepared, [0, 1, 2], table)
-            want = reference_query_arrays(queries, keep, table.feat_ids, 4)
+            want = reference_query_arrays(queries, keep, row_tuples(table.feat_rows), 4)
             assert _bits(model._query_arrays(batch, table)) == _bits(want) != None
             for query in queries[2:] + [EncodedObservation((), ({top: 0.5}, {top: 2.0}, {top: 1.0}, {top: 3.0}))]:
-                want = reference_query_arrays([query], keep, table.feat_ids, 4)
+                want = reference_query_arrays([query], keep, row_tuples(table.feat_rows), 4)
                 assert _bits(model._query_arrays(model._prepare([query], model._state), table)) == _bits(want)
         assert spy.call_count == 3
 

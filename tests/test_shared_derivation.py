@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparseborn import counts as counts_module
 from sparseborn import model as model_module
 from sparseborn.counts import SparseCounts
 from sparseborn.data import RawRecord, Vocabulary, encode, load_tabular
@@ -89,11 +90,12 @@ def _assert_same_tables(model, other):
 
 
 def _spy(monkeypatch):
-    """Count the target sorts (``model.sort_groups``) and the layout sorts (``np.lexsort``)."""
+    """Count the row sorts (``counts.sort_groups``: a fit's or a target sort) by the width of the rows, and
+    the layout sorts (``np.lexsort``)."""
     calls = Counter()
-    sort_groups, lexsort = model_module.sort_groups, np.lexsort
-    monkeypatch.setattr(model_module, "sort_groups",
-                        lambda keys: calls.update(["sort_groups"]) or sort_groups(keys))
+    sort_groups, lexsort = counts_module.sort_groups, np.lexsort
+    monkeypatch.setattr(counts_module, "sort_groups",
+                        lambda keys: calls.update([("sort_groups", keys.shape[1])]) or sort_groups(keys))
     monkeypatch.setattr(np, "lexsort", lambda keys, *args: calls.update(["lexsort"]) or lexsort(keys, *args))
     return calls
 
@@ -137,7 +139,8 @@ def test_each_split_derives_each_layout_once_for_every_config(monkeypatch):
     monkeypatch.setattr(Model, "_build_table", counting_build)
     configs = [*DEFAULT_CONFIGS, ("classical", Hyperparams(0, 0, 1))]
     repeated_split_experiment(ZOO, n_runs=3, test_fraction=0.3, configs=configs, seed=4)
-    assert calls["sort_groups"] == 3  # one target order per split
+    # each split's fit sorts its key rows once, and no target order sorts its targets
+    assert {call: n for call, n in calls.items() if call != "lexsort"} == {("sort_groups", 17): 3}
     reads, sorts = Counter(), Counter()
     for keys, keep, n_sorts in builds:
         reads[id(keys), keep] += 1
