@@ -2,8 +2,11 @@
 
 Raw records pair named target dimensions (labels) with named feature dimensions (tokens with
 multiplicities).  Encoding maps strings to dense per-dimension integer indices and represents each
-observation in product form: one count map per dimension plus a global scale.  A batch's joint counts,
-the outer products of its maps, are one numpy expansion, each weight multiplied left to right.
+observation in product form: one count map per dimension plus a global scale.  A batch is encoded once
+into flat arrays, every record's label then feature maps, and each observation returned is a read-only
+view of its row; fitting, updating and prediction read the arrays, and a view's maps are built only when
+read.  A batch's joint counts, the outer products of its maps, are one numpy expansion, each weight
+multiplied left to right.
 """
 from __future__ import annotations
 
@@ -13,10 +16,11 @@ import math
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from functools import reduce
-from itertools import chain
-from typing import Collection, Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from itertools import accumulate, chain
+from types import MappingProxyType
+from typing import Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -207,6 +211,8 @@ class EncodedObservation:
     the joint counts are ``scale`` times the outer product of the maps, set
     by ``encode`` to sum to 1 where ``normalized``.  ``phases`` optionally
     assigns an angle (radians) to full feature multi-indices; absent means zero.
+    Built by hand, the maps are dicts; :func:`encode` returns read-only views
+    of rows of its one flat batch instead, whose maps are built on first read.
     """
 
     label_weights: Tuple[Dict[int, float], ...]
@@ -214,6 +220,7 @@ class EncodedObservation:
     scale: float = 1.0
     phases: Dict[Index, float] | None = None
     normalized: bool = False
+    _batch = None  # a view's batch, see _View
 
     @property
     def n_feature_dims(self) -> int:
@@ -251,48 +258,139 @@ class EncodedObservation:
         drops unknown ones, and normalized again if encoding normalized it."""
         labels, feats = (tuple({i: w for i, w in m.items() if i < n} for m, n in zip(maps, sizes))
                          for maps, sizes in zip((self.label_weights, self.feature_weights), shape))
-        if not self.normalized:
-            return replace(self, label_weights=labels, feature_weights=feats)
-        # a normalized record's label maps were all populated, or all empty as it had no labels
-        normalized = not any(self.label_weights) or all(labels)
-        scale = _normal_scale(labels, feats) if normalized else 1.0
-        return replace(self, label_weights=labels, feature_weights=feats, scale=scale, normalized=normalized)
+        scale, normalized = self.scale, self.normalized
+        if normalized:  # a normalized record's label maps were all populated, or all empty as it had no labels
+            normalized = not any(self.label_weights) or all(labels)
+            scale = _normal_scale(labels, feats) if normalized else 1.0
+        return EncodedObservation(labels, feats, scale, self.phases, normalized)
 
     def counts(self, target_dims: int, feature_dims: int) -> SparseCounts:
         """Materialize the joint counts X as a sparse tensor."""
         rows = joint_rows([self], target_dims, feature_dims)
         return SparseCounts(target_dims, feature_dims).add_rows(*rows)
 
+    def _entries(self) -> Tuple[List[int], List[int], List[float]]:
+        """Each feature map's size, then every index and every value, map after map."""
+        maps = self.feature_weights
+        return [*map(len, maps)], [i for m in maps for i in m], [w for m in maps for w in m.values()]
+
+
+class _Batch:
+    """Maps of many observations, flat: ``sizes`` a row per observation of its maps' sizes, its ``n_targets`` label
+    maps then its feature maps; ``index`` and ``value`` every entry, map after map, each map's in order; and each
+    observation's scale and whether it is ``normalized``."""
+
+    def __init__(self, sizes: np.ndarray, index: np.ndarray, value: np.ndarray, scales, n_targets=0, normalized=()):
+        self.sizes, self.index, self.value, self.scales = sizes, index, value, np.asarray(scales, np.float64)
+        self.n_targets, self.normalized = n_targets, normalized
+
+    @cached_property
+    def firsts(self) -> np.ndarray:  # where each map starts in index
+        return np.cumsum(self.sizes).reshape(self.sizes.shape) - self.sizes
+
+    @cached_property
+    def ends(self) -> np.ndarray:  # where each row's last map ends in index
+        return np.cumsum(self.sizes.sum(1))
+
+    @cached_property
+    def totals(self) -> np.ndarray:
+        """Each map's values summed left to right from 0.0, as ``sum(map.values())``; 1.0 where it is empty."""
+        sums = np.bincount(np.repeat(np.arange(self.sizes.size), self.sizes.ravel()), self.value, self.sizes.size)
+        return np.where(self.sizes > 0, sums.reshape(self.sizes.shape), 1.0)
+
+    def entries(self, r: int, lo: int, hi: int | None = None) -> Tuple[List[int], List[int], List[float]]:
+        """Row ``r``'s maps ``lo`` to ``hi`` as :meth:`EncodedObservation._entries` lists them."""
+        sizes = self.sizes[r].tolist()
+        start = int(self.ends[r]) - sum(sizes[lo:])
+        end = start + sum(sizes[lo:hi])
+        return sizes[lo:hi], self.index[start:end].tolist(), self.value[start:end].tolist()
+
+    def take(self, rows: List[int], lo: int) -> "_Batch":
+        """The maps from the ``lo``-th on of the rows ``rows``, as a batch of their own."""
+        if lo == 0 and rows == [*range(len(self.sizes))]:
+            return self
+        sizes = self.sizes[rows, lo:]
+        lengths = sizes.sum(1)  # the maps from lo on end each row
+        at = _spans(self.ends[rows] - lengths, lengths)
+        return _Batch(sizes, self.index[at], self.value[at], self.scales[rows])
+
+    def within(self, limits: Sequence[int], scales) -> "_Batch":
+        """Each row's first ``len(limits)`` maps without the values at or past their limits, scaled by ``scales``."""
+        maps = np.repeat(np.arange(self.sizes.size), self.sizes.ravel())
+        bound = np.zeros(self.sizes.shape[1], np.int64)
+        bound[: len(limits)] = limits
+        keep = self.index < np.tile(bound, len(self.sizes))[maps]
+        sizes = np.bincount(maps[keep], minlength=self.sizes.size).reshape(self.sizes.shape)
+        return _Batch(sizes[:, : len(limits)], self.index[keep], self.value[keep], scales)
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Every position of the runs of ``lengths`` from ``starts``, run after run."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
+class _View(EncodedObservation):
+    """Row ``row`` of a batch that :func:`encode` returned, read-only: its label maps and its feature maps are
+    each built from the batch's arrays when first read, as read-only dicts."""
+
+    __slots__ = ("_batch", "_row", "_read")
+
+    def __init__(self, batch: _Batch, row: int):
+        self._batch, self._row, self._read = batch, row, {}
+
+    def _maps(self, lo: int, hi: int | None) -> Tuple[Mapping[int, float], ...]:
+        if hi not in self._read:  # the labels end at n_targets, the features at None
+            sizes, index, value = self._batch.entries(self._row, lo, hi)
+            bounds = [0, *accumulate(sizes)]
+            spans = zip(bounds, bounds[1:])
+            self._read[hi] = tuple(MappingProxyType(dict(zip(index[a:b], value[a:b]))) for a, b in spans)
+        return self._read[hi]
+
+    def __eq__(self, other):  # as a dict-backed observation with the same maps and scale compares
+        fields = lambda obs: (obs.label_weights, obs.feature_weights, obs.scale, obs.phases, obs.normalized)
+        return fields(self) == fields(other) if isinstance(other, EncodedObservation) else NotImplemented
+
+    label_weights = property(lambda self: self._maps(0, self._batch.n_targets))
+    feature_weights = property(lambda self: self._maps(self._batch.n_targets, None))
+    scale = property(lambda self: float(self._batch.scales[self._row]))
+    normalized = property(lambda self: self._batch.normalized[self._row])
+    n_feature_dims = property(lambda self: self._batch.sizes.shape[1] - self._batch.n_targets)
+    _entries = lambda self: self._batch.entries(self._row, self._batch.n_targets)
+
+
+def _gather(observations: Sequence[EncodedObservation], feature_dims: int, target_dims: int | None = None) -> _Batch:
+    """The observations' feature maps, labels first with ``target_dims``, as a batch of their own: views of one
+    :func:`encode` batch gather their rows from it, other observations are flattened from their maps."""
+    batch, labels = observations[0]._batch if len(observations) else None, target_dims is not None
+    if batch is not None and all(obs._batch is batch for obs in observations):
+        if batch.sizes.shape[1] - batch.n_targets != feature_dims or target_dims not in (None, batch.n_targets):
+            raise SchemaError("observation shape does not match requested tensor shape")
+        return batch.take([obs._row for obs in observations], 0 if labels else batch.n_targets)
+    if any(obs.n_feature_dims != feature_dims or labels and len(obs.label_weights) != target_dims
+           for obs in observations):
+        raise SchemaError("observation shape does not match requested tensor shape")
+    maps = [m for obs in observations for m in (*(obs.label_weights if labels else ()), *obs.feature_weights)]
+    sizes = np.fromiter(map(len, maps), np.int64, len(maps))
+    sizes = sizes.reshape(len(observations), (target_dims or 0) + feature_dims)
+    index = np.fromiter(chain.from_iterable(maps), np.int64, int(sizes.sum()))
+    value = np.fromiter(chain.from_iterable(m.values() for m in maps), np.float64, len(index))
+    return _Batch(sizes, index, value, [obs.scale for obs in observations], target_dims or 0)
+
 
 def joint_rows(
-    observations: Iterable[EncodedObservation], target_dims: int, feature_dims: int
+    observations: Sequence[EncodedObservation], target_dims: int, feature_dims: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Joint counts of many observations, in order: int64 key rows (target then feature coordinates)
     by one array expansion (:func:`_expand`), weighted ``(1.0·l0·l1·…) * (scale·w0·w1·…)`` left to right."""
-    maps, scales = [], []  # the maps observation after observation, each in dimension order
-    for obs in observations:
-        if len(obs.label_weights) != target_dims or obs.n_feature_dims != feature_dims:
-            raise SchemaError("observation shape does not match requested tensor shape")
-        maps += (*obs.label_weights, *obs.feature_weights)
-        scales.append(obs.scale)
-    sizes, index, value = _flatten(maps, len(scales), target_dims + feature_dims)
-    keys, factors, cells = _expand(sizes, np.cumsum(sizes).reshape(sizes.shape) - sizes, index, value)
-    feature_weights = reduce(np.multiply, factors[target_dims:], np.repeat(scales, cells))
+    maps = _gather(observations, feature_dims, target_dims)
+    keys, factors, cells = _expand(maps.sizes, maps.firsts, maps.index, maps.value)
+    feature_weights = reduce(np.multiply, factors[target_dims:], np.repeat(maps.scales, cells))
     return keys, reduce(np.multiply, factors[:target_dims], 1.0) * feature_weights
-
-
-def _flatten(maps: List[Dict[int, float]], n: int, width: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``maps``, ``width`` per observation, as the (n, width) matrix of their sizes and one index and one
-    value array: map after map, each in its order."""
-    sizes = np.fromiter(map(len, maps), np.int64, len(maps)).reshape(n, width)
-    index = np.fromiter(chain.from_iterable(maps), np.int64, sum(map(len, maps)))
-    value = np.fromiter(chain.from_iterable(map(dict.values, maps)), np.float64, len(index))
-    return sizes, index, value
 
 
 def _expand(sizes: np.ndarray, firsts: np.ndarray, index: np.ndarray, value: np.ndarray):
     """Key rows of the outer products of the maps that ``sizes`` and ``firsts`` (where each starts) pick from
-    ``index`` and ``value`` (see :func:`_flatten`; a row of maps per observation), cells in mixed radix order;
+    ``index`` and ``value`` (see :class:`_Batch`; a row of maps per observation), cells in mixed radix order;
     each cell's weight in every map, a row per map; and each observation's number of cells."""
     cells = sizes.prod(axis=1)
     if sizes.shape[1] == 1 and cells.sum() == len(index):  # one map each, all of the arrays: their cells in order
@@ -482,36 +580,96 @@ def encode(
     silently dropped.  With ``normalize`` each observation's joint counts are scaled
     to sum to 1.  A record with a malformed field raises :class:`InvalidRecordError`
     naming the record, and a call that raises adds nothing to the vocabulary.
+
+    One pass over the records lists every kept item's index and weight; a few array
+    calls then make them the batch's flat maps, and each observation returned is a
+    read-only view of its row.
     """
-    start, out = vocab.shape(), []
+    start, n, inf, listed = grow and vocab.shape(), 0, math.inf, ([], [], [], [])  # without grow nothing is added
+    indices, weights, codes, counts = listed  # each kept item's, labels then features; their number per side
+    sides = [(dims, dim_of, code, {}) for dims, dim_of, code in (
+        (vocab.target_dims, vocab.target_dim, 0), (vocab.feature_dims, vocab.feature_dim, _FEATURE))]
+    seen = []  # with normalize, per record: whether it has labels, and the dimension counts once it is read
     try:
-        for n, rec in enumerate(records):
+        for n, rec in enumerate(records, 1):
             try:  # one handler for the whole record: no field is type-checked on its own
                 if grow and not rec.labels:
                     raise InvalidRecordError("training record has no label")
                 labels = [(name, value, 1.0) for name, value in rec.labels]
-                label_maps = _count(labels, vocab.target_dims, vocab.target_dim, grow)
-                feature_maps = _count(rec.features, vocab.feature_dims, vocab.feature_dim, grow)
+                for items, (dims, dim_of, code, names) in zip((labels, rec.features), sides):
+                    name_at, before = names, len(indices)  # no name is names
+                    for name, value, weight in items:
+                        if not 0 < weight < inf:  # positive and finite; NaN compares false
+                            raise InvalidRecordError("feature multiplicity must be positive and finite")
+                        if name is not name_at:  # a name is resolved once a batch, looked up once while it repeats
+                            name_at, entry = name, names.get(name)
+                            if entry is None:
+                                d = dim_of(name, create=grow)
+                                entry = (None,) * 3 if d is None else (d + code, dims[d], dims[d]._index.get)
+                                names[name] = entry
+                            d, dim, get = entry
+                        if d is None:
+                            continue
+                        i = get(value)
+                        if i is None:
+                            if not grow:
+                                continue
+                            i = dim.encode(value, grow=True)
+                        indices.append(i)
+                        weights.append(weight)
+                        codes.append(d)
+                    counts.append(len(indices) - before)
             except (TypeError, ValueError) as exc:
-                raise InvalidRecordError(f"record {n}: {exc}") from exc
-            obs = EncodedObservation(
-                label_weights=tuple(label_maps),
-                feature_weights=tuple(feature_maps),
-            )
-            if normalize and (not rec.labels or all(label_maps)):
-                obs.scale, obs.normalized = _normal_scale(label_maps, feature_maps), True
-            out.append(obs)
+                raise InvalidRecordError(f"record {n - 1}: {exc}") from exc
+            if normalize:
+                seen.append((bool(rec.labels), vocab.n_target_dims, vocab.n_feature_dims))
+        # dimensions created part-way through leave earlier records with empty maps in them
+        batch = _columns(*listed, n, vocab.n_target_dims, vocab.n_feature_dims)
     except BaseException:  # all or nothing: a failed call leaves the vocabulary as it found it
-        vocab.truncate(start)
+        if grow:
+            vocab.truncate(start)
         raise
-    # Late-created dimensions leave earlier observations short; pad so every
-    # observation spans the full vocabulary.
-    for obs in out:
-        if len(obs.label_weights) < vocab.n_target_dims:
-            obs.label_weights += tuple({} for _ in range(vocab.n_target_dims - len(obs.label_weights)))
-        if len(obs.feature_weights) < vocab.n_feature_dims:
-            obs.feature_weights += tuple({} for _ in range(vocab.n_feature_dims - len(obs.feature_weights)))
-    return out
+    batch.scales, batch.normalized = _normal_scales(batch, seen) if normalize else (batch.scales, [False] * n)
+    return [_View(batch, r) for r in range(n)]
+
+
+_FEATURE = 1 << 32  # added to a feature dimension's number in what encode lists: a target's has none
+
+
+def _columns(indices: list, weights: list, codes: list, counts: list, n: int, n_targets: int, n_features: int):
+    """The batch of the ``n`` records :func:`encode` listed: each map's indices in first-seen order, a repeated
+    index's weights summed left to right from 0.0 at its first.  A weight converts as ``float`` converts it."""
+    index, value = np.fromiter(indices, np.int64, len(indices)), np.fromiter(weights, np.float64, len(weights))
+    # each entry's map: its record's first, then its dimension, a feature's after the targets'
+    width = n_targets + n_features
+    group = (np.arange(n)[:, None] * width + np.array((0, n_targets - _FEATURE))).repeat(counts)
+    group += np.fromiter(codes, np.int64, len(codes))
+    low = (group[1:] - group[:-1]).min() if len(group) > 1 else 1
+    if low < 0:  # a record's dimensions out of order: its entries map by map, each map's in order
+        order = np.argsort(group, kind="stable")
+        group, index, value = group[order], index[order], value[order]
+    if low <= 0:  # a map of several entries may repeat an index
+        key = group * (int(index.max()) + 1) + index
+        ranked = np.sort(key)
+        if (ranked[1:] == ranked[:-1]).any():  # each (map, index) once, at its first entry, summed in entry order
+            _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+            order = np.argsort(first)  # the cells in first-seen order
+            first, value = first[order], np.bincount(np.argsort(order)[cell], value)
+            index, group = index[first], group[first]
+    return _Batch(np.bincount(group, minlength=n * width).reshape(n, width), index, value, np.ones(n), n_targets)
+
+
+def _normal_scales(batch: _Batch, seen: list) -> Tuple[np.ndarray, List[bool]]:
+    """Each record's scale and whether it is normalized, as :func:`_normal_scale` scales its maps: those of the
+    dimensions there were once it was read, the populated maps' totals multiplied labels first."""
+    labelled, targets, features = np.array(seen, np.int64).reshape(-1, 3).T
+    dims, t = np.arange(batch.sizes.shape[1]), batch.n_targets
+    full = (batch.sizes > 0) | (dims >= np.where(dims < t, targets[:, None], t + features[:, None]))
+    normalized = (labelled == 0) | full[:, :t].all(1)
+    with np.errstate(over="ignore"):  # math.prod overflows to inf without a word
+        total = reduce(np.multiply, batch.totals.T, np.ones(len(labelled)))
+    scaled = normalized & (batch.sizes > 0).any(1) & full[:, t:].all(1) & (total > 0)
+    return np.where(scaled, 1.0 / np.where(scaled, total, 1.0), 1.0), normalized.tolist()
 
 
 def _normal_scale(label_maps, feature_maps) -> float:
@@ -519,25 +677,3 @@ def _normal_scale(label_maps, feature_maps) -> float:
     populated = [m for m in (*label_maps, *feature_maps) if m]
     total = math.prod(sum(m.values()) for m in populated) if populated and all(feature_maps) else 1.0
     return 1.0 / total if total > 0 else 1.0
-
-
-def _count(items, dims: List[Dimension], dim_of, grow: bool) -> List[Dict[int, float]]:
-    """Sum the weights, each checked, of (dimension name, value, weight) items into one {index: weight}
-    map per dimension of ``dims``; ``dim_of`` resolves each name once, in first-seen order."""
-    resolved: Dict[str, int | None] = {}
-    for name, _, _ in items:
-        if name not in resolved:
-            resolved[name] = dim_of(name, create=grow)
-    maps: List[Dict[int, float]] = [{} for _ in dims]
-    for name, value, weight in items:
-        if not (weight > 0 and math.isfinite(weight)):
-            raise InvalidRecordError("feature multiplicity must be positive and finite")
-        d = resolved[name]
-        if d is None:
-            continue
-        idx = dims[d]._index.get(value)
-        if idx is None and grow:
-            idx = dims[d].encode(value, grow=True)
-        if idx is not None:
-            maps[d][idx] = maps[d].get(idx, 0.0) + float(weight)
-    return maps

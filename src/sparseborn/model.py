@@ -38,8 +38,8 @@ import numpy as np
 
 from . import _kernels
 from .counts import Index, SparseCounts, _index_matrix, rank_rows, row_tuples, run_starts
-from .data import EncodedObservation, Vocabulary, _expand, _flatten, joint_rows
-from .errors import ArchiveError, InvalidRecordError, ShapeError
+from .data import EncodedObservation, Vocabulary, _Batch, _expand, _gather, _spans, joint_rows
+from .errors import ArchiveError, InvalidRecordError, SchemaError, ShapeError
 from .policy import Policy
 
 ARCHIVE_FORMAT = "sparseborn-model"
@@ -284,8 +284,8 @@ class _State:
 
 
 class _Prepared(list):
-    """Queries as :meth:`Model._prepare` prepared them for the published ``state``, and their maps once, flat:
-    index and value as :func:`data._flatten` lays them out, a row per query of its maps' sizes and starts, and
+    """Queries as :meth:`Model._prepare` prepared them for the published ``state``, and their feature maps once,
+    flat: index and value as :class:`data._Batch` lays them out, a row per query of its maps' sizes and starts, and
     of its scale and each map's total (1 where empty).  Where every map holds one value, only the totals and a
     row of indices (``singles``), lists for one query: a numpy call would cost more than its work."""
 
@@ -293,17 +293,36 @@ class _Prepared(list):
 
 
 def _flat(queries: Sequence[EncodedObservation], width: int) -> tuple:
-    """The flat form of :class:`_Prepared`; each total is ``sum(map.values())``, as ``features_at`` takes it."""
-    maps, n = [m for obs in queries for m in obs.feature_weights], len(queries)
-    factors = [[obs.scale, *(sum(m.values()) if m else 1.0 for m in obs.feature_weights)] for obs in queries]
-    if {*map(len, maps)} == {1}:  # a value per map: its total
-        singles = [i for m in maps for i in m]
-        if n > 1:
-            factors, singles = np.array(factors), np.array(singles, np.int64).reshape(n, width)
-        return None, None, None, None, factors, singles
-    sizes, index, value = _flatten(maps, n, width)
-    firsts = np.cumsum(sizes).reshape(sizes.shape) - sizes
-    return index, value, sizes, firsts, np.array(factors).reshape(n, width + 1), None
+    """The flat form of :class:`_Prepared`; each total is ``sum(map.values())``, as ``features_at`` takes it.
+    Views of one ``encode`` batch gather their rows from its arrays (see :func:`data._gather`)."""
+    if len(queries) != 1:
+        return _layout(_gather(queries, width))
+    sizes, index, value = queries[0]._entries()
+    if {*sizes} == {1}:  # a value per map: its total
+        return None, None, None, None, [[queries[0].scale, *value]], index
+    bounds = [0, *accumulate(sizes)]  # in Python too: a one-query batch's arrays are short
+    factors = [queries[0].scale, *(sum(value[lo:hi]) if hi > lo else 1.0 for lo, hi in zip(bounds, bounds[1:]))]
+    return (np.array(index, np.int64), np.array(value), np.array([sizes], np.int64),
+            np.array([bounds[:-1]], np.int64), np.array([factors]), None)
+
+
+def _layout(maps: _Batch) -> tuple:
+    """The flat form of :class:`_Prepared` of a batch of feature maps."""
+    factors = np.concatenate((maps.scales[:, None], maps.totals), 1)
+    if maps.sizes.size and (maps.sizes == 1).all():  # a value per map: its total
+        return None, None, None, None, factors, maps.index.reshape(maps.sizes.shape)
+    return maps.index, maps.value, maps.sizes, maps.firsts, factors, None
+
+
+def _known(flat: tuple, queries: Sequence[EncodedObservation], shape) -> tuple:
+    """``flat``, the flat form of ``queries``, as that of ``[obs.known(shape) for obs in queries]``: without the
+    values at or past ``shape``'s feature sizes, each total summed again, each normalized query rescaled."""
+    index, value, sizes, _, factors, singles = flat
+    if sizes is None:  # a value per map
+        singles = np.array(singles, np.int64).reshape(len(queries), -1)
+        sizes, index, value = np.ones_like(singles), singles.ravel(), np.array(factors)[:, 1:].ravel()
+    scales = [obs.known(shape).scale if obs.normalized else obs.scale for obs in queries]
+    return _layout(_Batch(sizes, index, value, ()).within(shape[1], scales))
 
 
 @dataclass(eq=False)
@@ -387,6 +406,19 @@ class Prediction:
             raise ValueError("k must be >= 1")
         ranked = sorted(self.distribution.items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[:k]
+
+
+def _find_columns(layout: _Layout, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each row of kept feature values ``keys`` sorts among ``layout``'s columns, by one ``np.searchsorted``
+    over their codes, and the rows that are a column there; a value past its dimension's radix codes as another
+    column, or as none."""
+    if layout.codes is None:  # codes past int64: rank the columns' and the keys' rows together
+        ranks = rank_rows(np.concatenate((layout.feat_rows, keys)))[1]
+        codes, code = ranks[: len(layout.feat_rows)], ranks[len(layout.feat_rows) :]
+    else:
+        codes, code = layout.codes, keys @ layout.strides
+    pos = codes.searchsorted(code)
+    return pos, (layout.feat_rows.take(pos, 0, mode="clip") == keys).all(1).nonzero()[0]
 
 
 def _check_indices(keys: np.ndarray, shape: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> None:
@@ -494,8 +526,8 @@ class Model:
             d = (at if counts is None else int(np.searchsorted(counts.cumsum(), at, side="right"))) % len(sizes)
             raise ShapeError(f"feature index {np.ravel(index)[at]} out of bounds for dimension "
                              f"{self.vocab.feature_dims[d].name!r} (size {sizes[d]})")
-        prepared = _Prepared(queries if shape == state.shape else [obs.known(state.shape) for obs in queries])
-        prepared.state, prepared.flat = state, flat if shape == state.shape else _flat(prepared, len(state.shape[1]))
+        prepared = _Prepared(queries)
+        prepared.state, prepared.flat = state, flat if shape == state.shape else _known(flat, queries, state.shape)
         return prepared
 
     def target_prior(self) -> Dict[Index, float]:
@@ -515,15 +547,15 @@ class Model:
         layout = state.corpus._derived(_derive_weights, keep, math.prod(state.shape[0]))
         amp = layout.entropy[layout.cols] ** self.hyper.h * _balanced(layout, self.hyper.b) ** self.hyper.p
         phi = None
-        if self.phases and len(keep) == self.n_feature_dims:
-            feat_ids = row_tuples(layout.feat_rows)
-            phi = np.array(
-                [
-                    self.phases.get(layout.target_ids[r], feat_ids[c])
-                    for r, c in zip(layout.rows.tolist(), layout.cols.tolist())
-                ],
-                dtype=np.float64,
-            )
+        if self.phases and len(keep) == self.n_feature_dims:  # each phase's column, then its target's cell there
+            ranks = {target: r for r, target in enumerate(layout.target_ids)}
+            (targets, feats), angles = zip(*self.phases.entries), np.array([*self.phases.entries.values()])
+            pos, found = _find_columns(layout, np.array(feats, np.int64).reshape(len(feats), len(keep)))
+            lo, hi = layout.col_ptr[pos[found]], layout.col_ptr[pos[found] + 1]
+            cells, entry = _spans(lo, hi - lo), found.repeat(hi - lo)
+            hit = layout.rows[cells] == np.array([ranks.get(t, -1) for t in targets])[entry]
+            phi = np.zeros(len(layout.rows))
+            phi[cells[hit]] = angles[entry[hit]]
             if not phi.any():
                 phi = None
         return _LevelTable(*layout, amp, phi)
@@ -555,13 +587,7 @@ class Model:
             keys, kept_values, cells = _expand(*picked, index, value)
         else:  # a cell per query
             keys, cells = singles if len(kept) == width else singles[:, kept], None
-        if table.codes is None:  # codes past int64: rank the columns' and the cells' rows together
-            ranks = rank_rows(np.concatenate((table.feat_rows, keys)))[1]
-            codes, code = ranks[:sep], ranks[sep:]
-        else:
-            codes, code = table.codes, keys @ table.strides
-        pos = codes.searchsorted(code)
-        cell = (table.feat_rows.take(pos, 0, mode="clip") == keys).all(1).nonzero()[0]
+        pos, cell = _find_columns(table, keys)
         if not len(cell):
             return None
         if cells is None:  # a one-value map's total is its value
@@ -769,11 +795,12 @@ def fit(
     """
     if not observations:
         raise InvalidRecordError("empty training set")
-    for obs in observations:
-        if len(obs.label_weights) != vocab.n_target_dims or obs.n_feature_dims != vocab.n_feature_dims:
-            raise ShapeError("observation shape does not match vocabulary")
     shape = vocab.n_target_dims, vocab.n_feature_dims
-    corpus = SparseCounts(*shape).add_rows(*joint_rows(observations, *shape))
+    try:
+        rows = joint_rows(observations, *shape)
+    except SchemaError:
+        raise ShapeError("observation shape does not match vocabulary") from None
+    corpus = SparseCounts(*shape).add_rows(*rows)
     return Model(corpus, vocab.copy(), hyper=hyper, phases=phases, policy=policy)
 
 

@@ -296,3 +296,11 @@ def reference_query_arrays(queries, keep, feat_ids, n_feature_dims):
         return None
     phased = len(keep) == n_feature_dims and any(obs.phases for obs in queries) and any(thetas)
     return cols, vals, thetas if phased else None
+
+
+def reference_phi(table, phases):
+    """Each cell's phase angle at a full level, as ``Model._build_table`` decoded it cell by cell: the target and
+    feature tuple of every cell looked up in the phase table (0 where it has none); None where every angle is 0."""
+    feats = [tuple(row) for row in table.feat_rows.tolist()]
+    phi = [phases.get(table.target_ids[r], feats[c]) for r, c in zip(table.rows.tolist(), table.cols.tolist())]
+    return phi if any(phi) else None
