@@ -3,9 +3,9 @@
 Raw records pair named target dimensions (labels) with named feature dimensions (tokens with
 multiplicities).  Encoding maps strings to dense per-dimension integer indices and represents each
 observation in product form: one count map per dimension plus a global scale.  A batch is encoded once
-into flat arrays, every record's label then feature maps, and each observation returned is a read-only
-view of its row; fitting, updating and prediction read the arrays, and a view's maps are built only when
-read.  A batch's joint counts, the outer products of its maps, are one numpy expansion, each weight
+into flat arrays, every record's label then feature maps, and each observation returned is a view of its
+row with read-only maps; fitting, updating and prediction read the arrays, and a view's maps are built only
+when read.  A batch's joint counts, the outer products of its maps, are one numpy expansion, each weight
 multiplied left to right.
 """
 from __future__ import annotations
@@ -211,8 +211,8 @@ class EncodedObservation:
     the joint counts are ``scale`` times the outer product of the maps, set
     by ``encode`` to sum to 1 where ``normalized``.  ``phases`` optionally
     assigns an angle (radians) to full feature multi-indices; absent means zero.
-    Built by hand, the maps are dicts; :func:`encode` returns read-only views
-    of rows of its one flat batch instead, whose maps are built on first read.
+    Built by hand, the maps are dicts; :func:`encode` returns views of rows of
+    its one flat batch instead, whose maps are read-only and built on first read.
     """
 
     label_weights: Tuple[Dict[int, float], ...]
@@ -258,11 +258,12 @@ class EncodedObservation:
         drops unknown ones, and normalized again if encoding normalized it."""
         labels, feats = (tuple({i: w for i, w in m.items() if i < n} for m, n in zip(maps, sizes))
                          for maps, sizes in zip((self.label_weights, self.feature_weights), shape))
-        scale, normalized = self.scale, self.normalized
-        if normalized:  # a normalized record's label maps were all populated, or all empty as it had no labels
-            normalized = not any(self.label_weights) or all(labels)
-            scale = _normal_scale(labels, feats) if normalized else 1.0
-        return EncodedObservation(labels, feats, scale, self.phases, normalized)
+        obs = EncodedObservation(labels, feats, self.scale, self.phases, self.normalized)
+        if obs.normalized:  # as encode scales a record whose dimensions are these and had labels if these had
+            seen = [(any(self.label_weights), len(labels), len(feats))]
+            (scale,), (obs.normalized,) = _normal_scales(_gather([obs], len(feats), len(labels)), seen)
+            obs.scale = float(scale)
+        return obs
 
     def counts(self, target_dims: int, feature_dims: int) -> SparseCounts:
         """Materialize the joint counts X as a sparse tensor."""
@@ -314,15 +315,6 @@ class _Batch:
         at = _spans(self.ends[rows] - lengths, lengths)
         return _Batch(sizes, self.index[at], self.value[at], self.scales[rows])
 
-    def within(self, limits: Sequence[int], scales) -> "_Batch":
-        """Each row's first ``len(limits)`` maps without the values at or past their limits, scaled by ``scales``."""
-        maps = np.repeat(np.arange(self.sizes.size), self.sizes.ravel())
-        bound = np.zeros(self.sizes.shape[1], np.int64)
-        bound[: len(limits)] = limits
-        keep = self.index < np.tile(bound, len(self.sizes))[maps]
-        sizes = np.bincount(maps[keep], minlength=self.sizes.size).reshape(self.sizes.shape)
-        return _Batch(sizes[:, : len(limits)], self.index[keep], self.value[keep], scales)
-
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Every position of the runs of ``lengths`` from ``starts``, run after run."""
@@ -330,10 +322,9 @@ def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 class _View(EncodedObservation):
-    """Row ``row`` of a batch that :func:`encode` returned, read-only: its label maps and its feature maps are
-    each built from the batch's arrays when first read, as read-only dicts."""
-
-    __slots__ = ("_batch", "_row", "_read")
+    """Row ``row`` of a batch that :func:`encode` returned: its label maps and its feature maps are each built
+    from the batch's arrays when first read, as read-only dicts.  The maps, ``scale`` and ``normalized`` are
+    read-only; other fields, such as ``phases``, may be set."""
 
     def __init__(self, batch: _Batch, row: int):
         self._batch, self._row, self._read = batch, row, {}
@@ -660,8 +651,10 @@ def _columns(indices: list, weights: list, codes: list, counts: list, n: int, n_
 
 
 def _normal_scales(batch: _Batch, seen: list) -> Tuple[np.ndarray, List[bool]]:
-    """Each record's scale and whether it is normalized, as :func:`_normal_scale` scales its maps: those of the
-    dimensions there were once it was read, the populated maps' totals multiplied labels first."""
+    """Each record's scale and whether it is normalized, from whether it had labels and the dimensions there were
+    once it was read (``seen``): a record is normalized where it had no labels or each label map of those
+    dimensions is populated, and scaled by 1 over the product of its populated maps' totals, labels first, where
+    each feature map of those dimensions is populated and the product is positive; by 1 elsewhere."""
     labelled, targets, features = np.array(seen, np.int64).reshape(-1, 3).T
     dims, t = np.arange(batch.sizes.shape[1]), batch.n_targets
     full = (batch.sizes > 0) | (dims >= np.where(dims < t, targets[:, None], t + features[:, None]))
@@ -671,9 +664,3 @@ def _normal_scales(batch: _Batch, seen: list) -> Tuple[np.ndarray, List[bool]]:
     scaled = normalized & (batch.sizes > 0).any(1) & full[:, t:].all(1) & (total > 0)
     return np.where(scaled, 1.0 / np.where(scaled, total, 1.0), 1.0), normalized.tolist()
 
-
-def _normal_scale(label_maps, feature_maps) -> float:
-    """1 over the product of the populated maps' totals, labels first; 1 when a feature dimension is empty."""
-    populated = [m for m in (*label_maps, *feature_maps) if m]
-    total = math.prod(sum(m.values()) for m in populated) if populated and all(feature_maps) else 1.0
-    return 1.0 / total if total > 0 else 1.0

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .counts import Index, SparseCounts, _index_matrix, rank_rows, row_tuples, run_starts
-from .data import EncodedObservation, Vocabulary, _Batch, _expand, _gather, _spans, joint_rows
+from .data import EncodedObservation, Vocabulary, _expand, _gather, _spans, joint_rows
 from .errors import ArchiveError, InvalidRecordError, SchemaError, ShapeError
 from .policy import Policy
 
@@ -295,34 +295,19 @@ class _Prepared(list):
 def _flat(queries: Sequence[EncodedObservation], width: int) -> tuple:
     """The flat form of :class:`_Prepared`; each total is ``sum(map.values())``, as ``features_at`` takes it.
     Views of one ``encode`` batch gather their rows from its arrays (see :func:`data._gather`)."""
-    if len(queries) != 1:
-        return _layout(_gather(queries, width))
-    sizes, index, value = queries[0]._entries()
-    if {*sizes} == {1}:  # a value per map: its total
-        return None, None, None, None, [[queries[0].scale, *value]], index
-    bounds = [0, *accumulate(sizes)]  # in Python too: a one-query batch's arrays are short
-    factors = [queries[0].scale, *(sum(value[lo:hi]) if hi > lo else 1.0 for lo, hi in zip(bounds, bounds[1:]))]
-    return (np.array(index, np.int64), np.array(value), np.array([sizes], np.int64),
-            np.array([bounds[:-1]], np.int64), np.array([factors]), None)
-
-
-def _layout(maps: _Batch) -> tuple:
-    """The flat form of :class:`_Prepared` of a batch of feature maps."""
+    if len(queries) == 1:  # in Python: a one-query batch's arrays are short
+        sizes, index, value = queries[0]._entries()
+        if {*sizes} == {1}:  # a value per map: its total
+            return None, None, None, None, [[queries[0].scale, *value]], index
+        bounds = [0, *accumulate(sizes)]
+        factors = [queries[0].scale, *(sum(value[lo:hi]) if hi > lo else 1.0 for lo, hi in zip(bounds, bounds[1:]))]
+        return (np.array(index, np.int64), np.array(value), np.array([sizes], np.int64),
+                np.array([bounds[:-1]], np.int64), np.array([factors]), None)
+    maps = _gather(queries, width)
     factors = np.concatenate((maps.scales[:, None], maps.totals), 1)
     if maps.sizes.size and (maps.sizes == 1).all():  # a value per map: its total
         return None, None, None, None, factors, maps.index.reshape(maps.sizes.shape)
     return maps.index, maps.value, maps.sizes, maps.firsts, factors, None
-
-
-def _known(flat: tuple, queries: Sequence[EncodedObservation], shape) -> tuple:
-    """``flat``, the flat form of ``queries``, as that of ``[obs.known(shape) for obs in queries]``: without the
-    values at or past ``shape``'s feature sizes, each total summed again, each normalized query rescaled."""
-    index, value, sizes, _, factors, singles = flat
-    if sizes is None:  # a value per map
-        singles = np.array(singles, np.int64).reshape(len(queries), -1)
-        sizes, index, value = np.ones_like(singles), singles.ravel(), np.array(factors)[:, 1:].ravel()
-    scales = [obs.known(shape).scale if obs.normalized else obs.scale for obs in queries]
-    return _layout(_Batch(sizes, index, value, ()).within(shape[1], scales))
 
 
 @dataclass(eq=False)
@@ -526,8 +511,8 @@ class Model:
             d = (at if counts is None else int(np.searchsorted(counts.cumsum(), at, side="right"))) % len(sizes)
             raise ShapeError(f"feature index {np.ravel(index)[at]} out of bounds for dimension "
                              f"{self.vocab.feature_dims[d].name!r} (size {sizes[d]})")
-        prepared = _Prepared(queries)
-        prepared.state, prepared.flat = state, flat if shape == state.shape else _known(flat, queries, state.shape)
+        prepared = _Prepared(queries if shape == state.shape else [obs.known(state.shape) for obs in queries])
+        prepared.state, prepared.flat = state, flat if shape == state.shape else _flat(prepared, len(state.shape[1]))
         return prepared
 
     def target_prior(self) -> Dict[Index, float]:

@@ -115,6 +115,21 @@ def test_a_batch_prepared_after_growth_reads_as_its_known_copies():
         model.vocab.truncate(state.shape)
 
 
+def test_a_known_copy_is_the_encoding_against_the_smaller_vocabulary():
+    vocab = Vocabulary()
+    encode(_records_of(("x", "p", "u"), ("y", "q", "v")), vocab, grow=True)
+    shape, published = vocab.shape(), vocab.copy()
+    # a new label, a new value and a new dimension since
+    encode([RawRecord([("label", "z")], [("a", "r", 1.0), ("c", "s", 1.0)])], vocab, grow=True)
+    records = [*_records_of(("x", "r", "u"), ("z", "p", "w")),
+               RawRecord([], [("a", "p", 3.0), ("a", "r", 1.0), ("b", "u", 2.0), ("c", "s", 5.0)]),
+               RawRecord([("label", "y")], [("a", "q", 0.5), ("b", "v", 4.0), ("c", "s", 1.0)])]
+    for normalize in (False, True):
+        grown, fresh = encode(records, vocab, normalize=normalize), encode(records, published, normalize=normalize)
+        assert [obs.known(shape) for obs in grown] == fresh
+        assert [obs.known(shape).scale for obs in grown][2:] == ([1 / 6, 1 / 2] if normalize else [1.0, 1.0])
+
+
 def test_phases_find_their_cells_as_the_per_cell_decode_does():
     entries = {((0,), (0, 1)): 2.0, ((1,), (0, 1)): 1.0, ((1,), (2, 0)): 3.0, ((0,), (1, 1)): 1.0, ((2,), (2, 2)): 4.0}
     phases = {((0,), (0, 1)): 0.5, ((1,), (2, 0)): -1.25, ((2,), (2, 2)): 2.0,

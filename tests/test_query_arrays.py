@@ -80,7 +80,6 @@ def test_query_arrays_are_the_list_reference_bitwise(seed, n_dims, normalize, ph
     state = model._state
     prepared = model._prepare(queries, state)
     assert prepared.state is state and model._prepare(prepared, state) is prepared
-    known = [obs.known(state.shape) for obs in queries]  # as the state reads them
     with mock.patch.object(model_module, "BATCH_ADDENDS", cut or model_module.BATCH_ADDENDS):
         for r in range(1, model.n_feature_dims + 1):
             for keep in map(frozenset, itertools.combinations(range(model.n_feature_dims), r)):
@@ -91,19 +90,18 @@ def test_query_arrays_are_the_list_reference_bitwise(seed, n_dims, normalize, ph
                 max_cells, cells = model_module.BATCH_ADDENDS // len(table.target_ids), 0
                 for batch, sub in batches:  # each run is as long as the old count of cells allows
                     assert list(sub) == [prepared[i] for i in batch]
-                    sizes = [len(known[i].features_at(keep)) + 1 for i in batch]
+                    sizes = [len(prepared[i].features_at(keep)) + 1 for i in batch]
                     assert len(batch) == 1 or sum(sizes) <= max_cells
                     if cells:
                         assert cells + sizes[0] > max_cells
                     cells = sum(sizes)
-                    want = reference_query_arrays([known[i] for i in batch], keep, row_tuples(table.feat_rows),
-                                                  model.n_feature_dims)
+                    want = reference_query_arrays(list(sub), keep, row_tuples(table.feat_rows), model.n_feature_dims)
                     got = model._query_arrays(sub, table)
                     assert _bits(got) == _bits(want)
                     if got is not None:
                         assert got[0].dtype == np.int64 and got[1].dtype == np.float64
-                for obs, read in zip(prepared[:12], known):  # a query alone
-                    want = reference_query_arrays([read], keep, row_tuples(table.feat_rows), model.n_feature_dims)
+                for obs in prepared[:12]:  # a query alone
+                    want = reference_query_arrays([obs], keep, row_tuples(table.feat_rows), model.n_feature_dims)
                     assert _bits(model._query_arrays(model._prepare([obs], state), table)) == _bits(want)
 
 
